@@ -12,6 +12,7 @@
 #   make faults          fault-injection suite under -race + canned-plan CLI runs
 #   make predict         predictor suites under -race + confirm-differential gate
 #   make engine-diff     cross-engine differential gate (tree vs bytecode)
+#   make fuzz-smoke      bounded fuzz run of the cross-engine differential
 #   make fmt-check       fail if any file needs gofmt (CI lint job)
 #   make golden          diff `owl-tables -stable` against the committed fixture
 #   make golden-bytecode same diff with -engine=bytecode (engines must agree)
@@ -30,11 +31,11 @@ GO ?= go
 GOFMT ?= gofmt
 
 .PHONY: ci build vet test race serve-gate persist-gate replica-gate loadtest faults predict engine-diff \
-	fmt-check golden golden-bytecode golden-update profile bench bench-smoke \
+	fuzz-smoke fmt-check golden golden-bytecode golden-update profile bench bench-smoke \
 	bench-pipeline bench-detector bench-explore bench-predict bench-interp \
 	bench-summary clean
 
-ci: build vet race serve-gate persist-gate replica-gate faults predict engine-diff golden-bytecode
+ci: build vet race serve-gate persist-gate replica-gate faults predict engine-diff fuzz-smoke golden-bytecode
 
 build:
 	$(GO) build ./...
@@ -138,15 +139,25 @@ predict:
 # Cross-engine differential gate (docs/BYTECODE.md): the bytecode
 # compiler suite, the randomized program × schedule transcript grid
 # (byte-identical events, faults, output, schedule, arena fingerprint,
-# and stacks across engines), the zero-allocation compiled-step pins,
-# the cross-engine snapshot interchange, and the engine-parity flag
-# tests on both binaries.
+# and stacks across engines) and FuzzEngineDiff's seed corpus, the
+# zero-allocation compiled-step pins, the runnable-queue invariant and
+# planned-window regression tests, the cross-engine snapshot
+# interchange, and the engine-parity flag tests on both binaries.
 engine-diff:
 	$(GO) test -race -count=1 ./internal/bytecode/
-	$(GO) test -race -count=1 ./internal/race/ -run 'Differential|Bytecode'
+	$(GO) test -race -count=1 ./internal/race/ -run 'Differential|Bytecode|EngineDiff'
 	$(GO) test -race -count=1 ./internal/interp/ -run 'Engine|Snapshot'
 	$(GO) test -count=1 ./internal/vulnverify/ ./internal/cliflags/ ./cmd/owl/ ./cmd/owl-tables/ -run 'Engine|Parity|Defaults'
 	@echo "cross-engine differential gate passed"
+
+# Standing fuzz lane (docs/BYTECODE.md): FuzzEngineDiff explores
+# generated program × schedule seeds beyond its seed corpus for 45s
+# (CI allows at most 60s). A divergence between the engines fails the
+# lane, and Go saves the input under internal/race/testdata/fuzz/ to
+# become a named regression test.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineDiff$$' -fuzztime 45s -parallel 2 ./internal/race/
+	@echo "fuzz smoke passed"
 
 fmt-check:
 	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then \
@@ -230,10 +241,12 @@ bench-predict:
 # Interpreter-engine ablation (docs/BYTECODE.md): the tree-walking
 # oracle vs the compiled bytecode engine — the per-step microbenchmark
 # pair (BenchmarkBaselineNoDetector{,Bytecode}, plus the detector-attached
-# variants) and the pipeline-level corpus ablation asserting identical
-# findings. The -json stream lands in BENCH_interp.json.
+# variants), the per-step cost with ~32 io_delay sleepers live on both
+# engines (BenchmarkStepSleepers), and the pipeline-level corpus ablation
+# asserting identical findings. The -json stream lands in BENCH_interp.json.
 bench-interp:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkBaselineNoDetector|BenchmarkDetectorOverhead' -benchmem ./internal/race > BENCH_interp.json
+	$(GO) test -json -run '^$$' -bench 'BenchmarkStepSleepers' -benchmem ./internal/interp >> BENCH_interp.json
 	$(GO) test -json -run '^$$' -bench 'BenchmarkEngineAblation' -benchtime 1x . >> BENCH_interp.json
 	@sed -n 's/.*"Output":"\(.*\)"}$$/\1/p' BENCH_interp.json | tr -d '\n' | xargs -0 printf '%b' | grep -E 'Benchmark.*op' || true
 

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/conanalysis/owl/internal/ir"
@@ -89,5 +91,60 @@ func BenchmarkContendedRun(b *testing.B) {
 		if res.MaxStepsHit {
 			b.Fatal("hit step bound")
 		}
+	}
+}
+
+// sleepersBenchSrc is the shape of the workloads' gated noise: 32
+// spin-waiters polling a gate that never opens, each sleeping in
+// io_delay between polls, around one worker looping on a global. At
+// almost every step some sleeper is due to wake, so the step cost is
+// dominated by how the machine keeps its runnable set.
+var sleepersBenchSrc = func() string {
+	var b strings.Builder
+	b.WriteString(`
+global @gate = 0
+func @waiter() {
+entry:
+  jmp wait
+wait:
+  call @io_delay(7)
+  %g = load @gate
+  %c = icmp ne %g, 0
+  br %c, go, wait
+go:
+  ret 0
+}
+` + strings.Replace(spinBenchSrc, "func @main()", "func @worker()", 1) + `
+func @main() {
+entry:
+`)
+	for i := 0; i < 32; i++ {
+		fmt.Fprintf(&b, "  %%w%d = call @spawn(@waiter)\n", i)
+	}
+	b.WriteString("  %t = call @spawn(@worker)\n  %r = call @join(%t)\n  ret 0\n}\n")
+	return b.String()
+}()
+
+// BenchmarkStepSleepers measures the per-step cost with ~32 io_delay
+// sleepers live, on both engines.
+func BenchmarkStepSleepers(b *testing.B) {
+	mod := ir.MustParse("bench.oir", sleepersBenchSrc)
+	for _, engine := range []Engine{EngineTree, EngineBytecode} {
+		b.Run(string(engine), func(b *testing.B) {
+			m, err := New(Config{Module: mod, Sched: &rr{last: -1}, MaxSteps: 1 << 62, Engine: engine})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 10_000; i++ { // spawn everything, warm the trace
+				m.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !m.Step() {
+					b.Fatal("machine stopped early")
+				}
+			}
+		})
 	}
 }

@@ -290,7 +290,7 @@ func (m *Machine) execCallSite(t *Thread, fr *Frame, in *ir.Instr, cs *bytecode.
 			}
 			t.Status = StatusBlockedMutex
 			t.WaitAddr = addr
-			m.schedDirty = true
+			m.touch(t)
 			return // retry when woken
 		}
 		m.lockAcquire(addr, t.ID)
@@ -317,7 +317,7 @@ func (m *Machine) execCallSite(t *Thread, fr *Frame, in *ir.Instr, cs *bytecode.
 			for _, w := range m.threads {
 				if w.Status == StatusBlockedMutex && w.WaitAddr == addr {
 					w.Status = StatusRunnable
-					m.schedDirty = true
+					m.touch(w)
 				}
 			}
 		}
@@ -407,15 +407,15 @@ func (m *Machine) callIntrinsicCompiled(t *Thread, fr *Frame, in *ir.Instr, cs *
 }
 
 // runBytecode is the batched dispatch loop: Step's protocol — runnable
-// scan, scheduler choice, trace append, switch notification, execute —
-// unrolled so that the per-step overheads (runnable recomputation,
-// interface dispatch on Thread lookup, breakpoint checks) disappear
-// from the hot path. With a PlanningScheduler and a calm machine,
-// whole windows of choices are planned in one scheduler call and run
-// by runPlanned; otherwise each step consults the scheduler
-// individually, and superinstruction heads keep control inside
-// fusedRun for as long as the scheduler keeps picking the same thread.
-// Only entered when no breakpoint is attached; a machine with a
+// queue read, scheduler choice, trace append, switch notification,
+// execute — unrolled so that the per-step overheads (interface dispatch
+// on Thread lookup, breakpoint checks) disappear from the hot path. It
+// reads the same runnable queue as Step. With a PlanningScheduler and a
+// calm machine, whole windows of choices are planned in one scheduler
+// call and run by runPlanned; otherwise each step consults the
+// scheduler individually, and superinstruction heads keep control
+// inside fusedRun for as long as the scheduler keeps picking the same
+// thread. Only entered when no breakpoint is attached; a machine with a
 // breakpoint goes through Step.
 func (m *Machine) runBytecode() {
 	maxSteps := m.cfg.MaxSteps
@@ -427,10 +427,10 @@ func (m *Machine) runBytecode() {
 		if m.exited || m.step >= maxSteps {
 			return
 		}
-		if planner != nil && pend < 0 && !m.schedDirty && !m.anySleeping {
+		if planner != nil && pend < 0 && m.calm() {
 			// A planner that declines to plan (k=0) falls through to one
 			// per-step pick, so a run can never spin without progress.
-			if len(m.runnableCached()) > 0 && m.runPlanned(planner, needInstr, maxSteps) > 0 {
+			if len(m.runq) > 0 && m.runPlanned(planner, needInstr, maxSteps) > 0 {
 				continue
 			}
 			// Empty runnable with nothing sleeping: the slow path below
@@ -445,28 +445,14 @@ func (m *Machine) runBytecode() {
 			if t == nil || !t.Runnable(m.step) {
 				// Defensive, mirroring Step: a misbehaving choice falls back
 				// to the first runnable thread (the set is still clean).
-				t = m.Thread(m.runnableCached()[0])
+				t = m.Thread(m.runq[0])
 			}
 		} else {
-			runnable := m.runnableCached()
+			runnable := m.ready()
 			if len(runnable) == 0 {
-				wake := -1
-				for _, th := range m.threads {
-					if th.Status == StatusSleeping && !th.Suspended {
-						if wake < 0 || th.SleepUntil < wake {
-							wake = th.SleepUntil
-						}
-					}
-				}
-				if wake < 0 || wake > maxSteps {
-					return
-				}
-				m.step = wake
-				runnable = m.runnableIDs()
-				if len(runnable) == 0 {
-					return
-				}
+				return
 			}
+			m.schedDirty = false
 			tid := sched.Next(runnable, m.step)
 			t = m.Thread(tid)
 			if t == nil || !t.Runnable(m.step) {
@@ -509,13 +495,32 @@ func (m *Machine) runBytecode() {
 	}
 }
 
+// calm reports whether a planned window may start: no runnable-set
+// transition since the queue was last read, and no thread asleep —
+// neither in the sleeper heap (the clock alone would wake it), nor woken
+// but not yet picked, nor suspended mid-sleep. The planned and fused
+// paths never flip a woken sleeper back to StatusRunnable, so they must
+// only run while every queued thread already is. The thread scan runs
+// once per window attempt, never per planned step.
+func (m *Machine) calm() bool {
+	if m.schedDirty || len(m.sleepers) > 0 {
+		return false
+	}
+	for _, t := range m.threads {
+		if t.Status == StatusSleeping {
+			return false
+		}
+	}
+	return true
+}
+
 // runPlanned executes one pre-planned window of scheduler choices.
 // Preconditions (checked by the caller): machine not exited, below the
-// step bound, schedule state clean (no pending status transition, no
-// sleeping thread), runnable set non-empty. The window ends at the
-// first status transition — the next choice must then see the new
-// runnable set, exactly as the per-step protocol would — and the
-// consumed prefix is committed to the scheduler via Advance.
+// step bound, the machine calm (see calm), runnable set non-empty. The
+// window ends at the first status transition — the next choice must
+// then see the new runnable set, exactly as the per-step protocol
+// would — and the consumed prefix is committed to the scheduler via
+// Advance.
 //
 // Dispatch for the frequent ops is inlined here, mirroring the
 // corresponding execWord cases exactly (execWord is the specification;
@@ -530,7 +535,10 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 	if left := maxSteps - m.step; n > left {
 		n = left
 	}
-	runnable := m.runnableBuf
+	// The transition that ends the window rewrites the queue in place, so
+	// Advance gets the copy the plan was made for.
+	m.planSet = append(m.planSet[:0], m.runq...)
+	runnable := m.planSet
 	startStep := m.step
 	k := ps.Plan(runnable, startStep, m.planBuf[:n])
 	consumed := 0
@@ -541,7 +549,7 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 	var batchT *Thread
 	var batchFr *Frame
 	for consumed < k {
-		if m.exited || m.schedDirty || m.anySleeping {
+		if m.exited || m.schedDirty {
 			break
 		}
 		tid := m.planBuf[consumed]
@@ -695,10 +703,7 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 			m.planSize = len(m.planBuf)
 		}
 	} else {
-		m.planSize = 2 * consumed
-		if m.planSize < 8 {
-			m.planSize = 8
-		}
+		m.planSize = min(max(2*consumed, 8), len(m.planBuf))
 	}
 	return consumed
 }
@@ -706,19 +711,19 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 // fusedRun tries to execute the n component words following a
 // superinstruction head back-to-back. The scheduler is still consulted
 // before every component (schedulers are stateful; traces must be
-// identical), so fusion only elides the runnable-set and dispatch
-// overhead. Any disturbance — a status change, a control transfer out
-// of the straight-line sequence, the scheduler preferring another
-// thread — abandons the batch. Returns the thread the scheduler chose
+// identical), so fusion only elides the dispatch overhead. Any
+// disturbance — a status change, a control transfer out of the
+// straight-line sequence, the scheduler preferring another thread —
+// abandons the batch. Returns the thread the scheduler chose
 // for another thread (-1 if none), whose choice the caller must honor.
 func (m *Machine) fusedRun(t *Thread, fr *Frame, pc, n int) ThreadID {
 	sched := m.cfg.Sched
 	for k := 1; k <= n; k++ {
-		if m.exited || m.step >= m.cfg.MaxSteps || m.schedDirty || m.anySleeping ||
+		if m.exited || m.step >= m.cfg.MaxSteps || m.schedDirty || len(m.sleepers) > 0 ||
 			t.Status != StatusRunnable || t.Suspended || t.Top() != fr || fr.FPC != pc+k {
 			return -1
 		}
-		tid := sched.Next(m.runnableBuf, m.step)
+		tid := sched.Next(m.runq, m.step)
 		if tid != t.ID {
 			return tid
 		}

@@ -43,7 +43,8 @@ const (
 // depend on concrete strategies.
 type Scheduler interface {
 	// Next returns one element of runnable (which is non-empty and sorted
-	// ascending). step is the machine's global step counter.
+	// ascending). step is the machine's global step counter. runnable is
+	// the machine's own queue: read it, but neither modify nor retain it.
 	Next(runnable []ThreadID, step int) ThreadID
 }
 
@@ -170,10 +171,14 @@ type Machine struct {
 	fs   *FS
 	step int
 
-	threads     []*Thread
-	live        []*Thread // threads not yet done/faulted (lazily compacted)
-	trace       []ThreadID
-	runnableBuf []ThreadID
+	threads []*Thread
+	trace   []ThreadID
+
+	// runq and sleepers are the runnable queue (runq.go): the ascending
+	// ids the scheduler may pick, and the min-heap of threads asleep in
+	// io_delay keyed by (SleepUntil, ID). touch keeps them current.
+	runq     []ThreadID
+	sleepers []*Thread
 
 	globals map[string]int64 // global name -> base address
 	funcIDs map[string]int64 // function name -> func ref value
@@ -231,15 +236,16 @@ type Machine struct {
 	// planBuf holds scheduler choices pre-planned by a
 	// PlanningScheduler; planSize adapts the window to how much of the
 	// last plan survived before a status transition cut it short.
+	// planSet is the runnable set the plan was made for, kept because
+	// the queue itself changes under the transition that ends a window.
 	planBuf  []ThreadID
 	planSize int
+	planSet  []ThreadID
 
-	// schedDirty/anySleeping let the batched dispatch loop reuse
-	// runnableBuf across steps: every status transition marks the set
-	// dirty, and any sleeping thread forces recomputation because the
-	// mere advance of the clock can wake it.
-	schedDirty  bool
-	anySleeping bool
+	// schedDirty records a runnable-set transition (any touch) since the
+	// compiled engine last read the queue: a planned window or fused
+	// batch ends at the first one.
+	schedDirty bool
 
 	// stackMemo caches the last materialized event stack per (step,
 	// thread) so several observers of one event share one allocation.
@@ -318,7 +324,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{
 		prog:          prog,
-		schedDirty:    true,
 		cfg:           cfg,
 		mod:           cfg.Module,
 		mem:           NewArena(),
@@ -333,6 +338,8 @@ func New(cfg Config) (*Machine, error) {
 		rngState:      0x9e3779b97f4a7c15,
 		stackMemoStep: -1,
 		trace:         make([]ThreadID, 0, traceCap(cfg.MaxSteps)),
+		runq:          make([]ThreadID, 0, queueCap),
+		sleepers:      make([]*Thread, 0, queueCap),
 	}
 	for _, o := range cfg.Observers {
 		sp, declared := o.(StackPolicy)
@@ -473,8 +480,7 @@ func (m *Machine) newThread(fn *ir.Func, args []int64, spawn *ir.Instr) *Thread 
 	t := &Thread{ID: ThreadID(len(m.threads)), Status: StatusRunnable,
 		Frames: []*Frame{fr}, top: fr, SpawnInstr: spawn}
 	m.threads = append(m.threads, t)
-	m.live = append(m.live, t)
-	m.schedDirty = true
+	m.touch(t)
 	if fr.BC == nil {
 		// Entry-block phis read the zeroed register state; compiled frames
 		// start with zeroed slots, so their entry edge needs no moves.
@@ -556,7 +562,7 @@ func (m *Machine) fault(t *Thread, in *ir.Instr, f *Fault) {
 	f.Step = m.step
 	m.faults = append(m.faults, f)
 	t.Status = StatusFaulted
-	m.schedDirty = true
+	m.touch(t)
 	m.wakeJoiners(t)
 	if m.cfg.HaltOnFault {
 		m.exited = true
@@ -625,42 +631,6 @@ func (m *Machine) intern(s string) int64 {
 	return b.Base
 }
 
-// runnableIDs returns the ids of threads the scheduler may pick, ascending
-// (m.threads is already ID-ordered). The returned slice is a reused buffer
-// valid until the next call.
-func (m *Machine) runnableIDs() []ThreadID {
-	ids := m.runnableBuf[:0]
-	live := m.live[:0]
-	sleeping := false
-	for _, t := range m.live {
-		switch t.Status {
-		case StatusDone, StatusFaulted:
-			continue // drop from the live list
-		case StatusSleeping:
-			sleeping = true
-		}
-		live = append(live, t)
-		if t.Runnable(m.step) {
-			ids = append(ids, t.ID)
-		}
-	}
-	m.live = live
-	m.runnableBuf = ids
-	m.schedDirty = false
-	m.anySleeping = sleeping
-	return ids
-}
-
-// runnableCached returns the runnable set, recomputing only when a
-// status transition happened since the last scan or a sleeping thread
-// could be woken by the clock alone.
-func (m *Machine) runnableCached() []ThreadID {
-	if m.schedDirty || m.anySleeping {
-		return m.runnableIDs()
-	}
-	return m.runnableBuf
-}
-
 // LastScheduled returns the id of the thread that executed the most recent
 // step, if any.
 func (m *Machine) LastScheduled() (ThreadID, bool) {
@@ -675,17 +645,14 @@ func (m *Machine) Stall() StallReason {
 	if m.exited {
 		return StallDone
 	}
-	if len(m.runnableIDs()) > 0 {
-		return StallNone
+	if len(m.runnable()) > 0 || len(m.sleepers) > 0 {
+		return StallNone // a thread can run, or the clock can still advance
 	}
 	anyLive, anySuspended := false, false
 	for _, t := range m.threads {
 		switch t.Status {
 		case StatusDone, StatusFaulted:
 			continue
-		}
-		if t.Status == StatusSleeping && !t.Suspended {
-			return StallNone // clock can still advance
 		}
 		anyLive = true
 		if t.Suspended {
@@ -708,26 +675,9 @@ func (m *Machine) Step() bool {
 	if m.exited || m.step >= m.cfg.MaxSteps {
 		return false
 	}
-	runnable := m.runnableIDs()
+	runnable := m.ready()
 	if len(runnable) == 0 {
-		// If every live thread is merely sleeping (io_delay), advance the
-		// clock to the earliest wake-up instead of declaring a stall.
-		wake := -1
-		for _, t := range m.threads {
-			if t.Status == StatusSleeping && !t.Suspended {
-				if wake < 0 || t.SleepUntil < wake {
-					wake = t.SleepUntil
-				}
-			}
-		}
-		if wake < 0 || wake > m.cfg.MaxSteps {
-			return false
-		}
-		m.step = wake
-		runnable = m.runnableIDs()
-		if len(runnable) == 0 {
-			return false
-		}
+		return false
 	}
 	tid := m.cfg.Sched.Next(runnable, m.step)
 	t := m.Thread(tid)
@@ -748,6 +698,7 @@ func (m *Machine) Step() bool {
 	if m.cfg.Breakpoint != nil {
 		if m.cfg.Breakpoint(m, t, in) == BPSuspend {
 			t.Suspended = true
+			m.touch(t)
 			// The suspension consumed the scheduling slot but not the
 			// instruction; undo the trace entry so replays stay aligned
 			// with executed instructions.
@@ -808,8 +759,9 @@ func (m *Machine) Run() *Result {
 // without building a Result. Under the compiled engine it uses the
 // batched dispatch loop (unless a breakpoint is attached, which needs
 // Step's per-instruction hook); under the tree engine it is exactly
-// `for m.Step() {}`. The two are interchangeable: callers may hand-step
-// a machine and then let RunLoop finish it.
+// `for m.Step() {}`. Both read the same runnable queue, so the two are
+// interchangeable: callers may hand-step a machine and then let RunLoop
+// finish it.
 func (m *Machine) RunLoop() {
 	if m.prog != nil && m.cfg.Breakpoint == nil {
 		m.runBytecode()
@@ -849,7 +801,7 @@ func (m *Machine) Result() *Result {
 func (m *Machine) Resume(tid ThreadID) {
 	if t := m.Thread(tid); t != nil {
 		t.Suspended = false
-		m.schedDirty = true
+		m.touch(t)
 	}
 }
 
@@ -857,7 +809,7 @@ func (m *Machine) Resume(tid ThreadID) {
 func (m *Machine) Suspend(tid ThreadID) {
 	if t := m.Thread(tid); t != nil {
 		t.Suspended = true
-		m.schedDirty = true
+		m.touch(t)
 	}
 }
 
@@ -1057,7 +1009,7 @@ func (m *Machine) ret(t *Thread, v int64) {
 		t.top = nil
 		t.Status = StatusDone
 		t.Result = v
-		m.schedDirty = true
+		m.touch(t)
 		m.wakeJoiners(t)
 		return
 	}
@@ -1081,7 +1033,7 @@ func (m *Machine) wakeJoiners(done *Thread) {
 	for _, t := range m.threads {
 		if t.Status == StatusBlockedJoin && t.JoinTarget == done.ID {
 			t.Status = StatusRunnable
-			m.schedDirty = true
+			m.touch(t)
 		}
 	}
 }

@@ -109,7 +109,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 		default:
 			t.Status = StatusBlockedJoin
 			t.JoinTarget = target.ID
-			m.schedDirty = true
+			m.touch(t)
 		}
 
 	case "thread_id":
@@ -127,8 +127,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 		}
 		t.Status = StatusSleeping
 		t.SleepUntil = m.step + 1 + int(n)
-		m.schedDirty = true
-		m.anySleeping = true
+		m.touch(t)
 		done(0)
 
 	case "mutex_lock":
@@ -141,7 +140,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 			}
 			t.Status = StatusBlockedMutex
 			t.WaitAddr = addr
-			m.schedDirty = true
+			m.touch(t)
 			return // retry when woken
 		}
 		m.lockAcquire(addr, t.ID)
@@ -160,7 +159,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 			for _, w := range m.threads {
 				if w.Status == StatusBlockedMutex && w.WaitAddr == addr {
 					w.Status = StatusRunnable
-					m.schedDirty = true
+					m.touch(w)
 				}
 			}
 		}
@@ -350,11 +349,11 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 	case "exit":
 		m.exited = true
 		m.exitCode = int(arg(0))
-		m.schedDirty = true
 		for _, th := range m.threads {
 			if th.Status != StatusFaulted {
 				th.Status = StatusDone
 			}
+			m.touch(th)
 		}
 
 	case "abort":

@@ -122,7 +122,8 @@ type Thread struct {
 
 	// Suspended marks the thread halted by a thread-specific breakpoint
 	// (§5.2): the rest of the machine keeps running. A suspended thread is
-	// not offered to the scheduler until resumed.
+	// not offered to the scheduler until resumed. Change it only through
+	// Machine.Suspend/Resume, which keep the runnable queue in step.
 	Suspended bool
 
 	// WaitAddr is the mutex address for StatusBlockedMutex.
@@ -137,6 +138,11 @@ type Thread struct {
 
 	// SpawnInstr is the call that created the thread (nil for main).
 	SpawnInstr *ir.Instr
+
+	// q says where the machine's runnable queue files the thread, and
+	// hidx is its sleeper-heap index while q == qSleep (see runq.go).
+	q    uint8
+	hidx int
 }
 
 // Top returns the innermost frame, or nil if the thread has exited.
@@ -173,7 +179,8 @@ func (t *Thread) Stack() callstack.Stack {
 	return t.stackRef().Materialize()
 }
 
-// Runnable reports whether the scheduler may pick this thread.
+// Runnable reports whether the scheduler may pick this thread. It is the
+// definition the machine's runnable queue maintains incrementally.
 func (t *Thread) Runnable(step int) bool {
 	if t.Suspended {
 		return false

@@ -17,7 +17,11 @@ import (
 // that spawns the workers, does its own accesses, and joins. The shapes
 // exercise every detector transition: write-write and read-write races,
 // lock-ordered accesses, exclusive reads, read-shared promotion (several
-// threads reading one global), and pruning writes.
+// threads reading one global), and pruning writes. Threads also sleep
+// (io_delay) and spin on a gate flag another thread may open — bounded,
+// io_delay-paced spin-waits shaped like the workloads' gated noise — so
+// the interpreter's sleeper path and its all-sleeping clock jump are
+// exercised too.
 func genProgram(r *rand.Rand) string {
 	nWorkers := 1 + r.Intn(3)
 	nGlobals := 1 + r.Intn(3)
@@ -26,15 +30,16 @@ func genProgram(r *rand.Rand) string {
 	for g := 0; g < nGlobals; g++ {
 		fmt.Fprintf(&b, "global @g%d = 0\n", g)
 	}
-	b.WriteString("global @mu = 0\n\n")
+	b.WriteString("global @mu = 0\nglobal @gate = 0\n\n")
 
 	body := func(tag string, n int) string {
 		var w strings.Builder
 		reg := 0
 		locked := false
+		block := "entry" // the block the next instruction lands in
 		for i := 0; i < n; i++ {
 			g := r.Intn(nGlobals)
-			switch r.Intn(5) {
+			switch r.Intn(7) {
 			case 0:
 				fmt.Fprintf(&w, "  %%%s%d = load @g%d\n", tag, reg, g)
 				reg++
@@ -53,6 +58,28 @@ func genProgram(r *rand.Rand) string {
 				reg++
 			case 4:
 				fmt.Fprintf(&w, "  call @yield()\n")
+			case 5:
+				fmt.Fprintf(&w, "  call @io_delay(%d)\n", r.Intn(4))
+			case 6:
+				if r.Intn(3) == 0 {
+					w.WriteString("  store 1, @gate\n")
+					break
+				}
+				// Spin until the gate opens, at most `bound` rounds.
+				l := fmt.Sprintf("%ss%d", tag, reg)
+				reg++
+				fmt.Fprintf(&w, "  jmp %[1]s_h\n%[1]s_h:\n"+
+					"  %%%[1]s_i = phi [%[2]s: 0], [%[1]s_b: %%%[1]s_n]\n"+
+					"  %%%[1]s_f = load @gate\n"+
+					"  %%%[1]s_c = icmp eq %%%[1]s_f, 0\n"+
+					"  %%%[1]s_k = icmp lt %%%[1]s_i, %[3]d\n"+
+					"  %%%[1]s_w = and %%%[1]s_c, %%%[1]s_k\n"+
+					"  br %%%[1]s_w, %[1]s_b, %[1]s_o\n%[1]s_b:\n"+
+					"  call @io_delay(%[4]d)\n"+
+					"  %%%[1]s_n = add %%%[1]s_i, 1\n"+
+					"  jmp %[1]s_h\n%[1]s_o:\n",
+					l, block, 2+r.Intn(6), 1+r.Intn(3))
+				block = l + "_o"
 			}
 		}
 		if locked {

@@ -180,3 +180,27 @@ func TestSameEpochDetectorBytecodeStepIsAllocationFree(t *testing.T) {
 		t.Fatalf("same-epoch bytecode step allocates %.2f allocs/op, want 0", avg)
 	}
 }
+
+// FuzzEngineDiff is the standing form of the differential grid: the
+// fuzz input picks the generated program and the schedule seed, and
+// both engines must produce byte-identical transcripts. The seed corpus
+// runs with every plain `go test`; `make fuzz-smoke` explores beyond it
+// for a bounded time.
+func FuzzEngineDiff(f *testing.F) {
+	for _, s := range []struct {
+		prog  int64
+		sched uint64
+	}{{1, 1}, {3, 2}, {12, 4}, {25, 3}, {101, 7}} {
+		f.Add(s.prog, s.sched)
+	}
+	f.Fuzz(func(t *testing.T, progSeed int64, schedSeed uint64) {
+		src := genProgram(rand.New(rand.NewSource(progSeed)))
+		mod, err := ir.Parse("fuzz.oir", src)
+		if err != nil {
+			t.Fatalf("generated program does not parse: %v\n%s", err, src)
+		}
+		if tree, bc := diffEngines(t, mod, schedSeed, false); tree != bc {
+			t.Fatalf("engines diverge\nprogram:\n%s\n--- tree ---\n%s\n--- bytecode ---\n%s", src, tree, bc)
+		}
+	})
+}
