@@ -12,6 +12,7 @@
 #   make faults          fault-injection suite under -race + canned-plan CLI runs
 #   make predict         predictor suites under -race + confirm-differential gate
 #   make engine-diff     cross-engine differential gate (tree vs bytecode)
+#   make shared-prefix   shared-prefix race verification vs from-step-0, full noise
 #   make fuzz-smoke      bounded fuzz run of the cross-engine differential
 #   make fmt-check       fail if any file needs gofmt (CI lint job)
 #   make golden          diff `owl-tables -stable` against the committed fixture
@@ -25,17 +26,18 @@
 #   make bench-explore   exploration ablation      -> BENCH_explore.json
 #   make bench-predict   prediction ablation       -> BENCH_predict.json
 #   make bench-interp    engine ablation           -> BENCH_interp.json
+#   make bench-raceverify race-verification stage  -> BENCH_raceverify.json
 #   make bench-summary   fold BENCH_*.json streams -> BENCH_summary.json
 
 GO ?= go
 GOFMT ?= gofmt
 
 .PHONY: ci build vet test race serve-gate persist-gate replica-gate loadtest faults predict engine-diff \
-	fuzz-smoke fmt-check golden golden-bytecode golden-update profile bench bench-smoke \
-	bench-pipeline bench-detector bench-explore bench-predict bench-interp \
+	shared-prefix fuzz-smoke fmt-check golden golden-bytecode golden-update profile bench bench-smoke \
+	bench-pipeline bench-detector bench-explore bench-predict bench-interp bench-raceverify \
 	bench-summary clean
 
-ci: build vet race serve-gate persist-gate replica-gate faults predict engine-diff fuzz-smoke golden-bytecode
+ci: build vet race serve-gate persist-gate replica-gate faults predict engine-diff shared-prefix fuzz-smoke golden-bytecode
 
 build:
 	$(GO) build ./...
@@ -150,6 +152,17 @@ engine-diff:
 	$(GO) test -count=1 ./internal/vulnverify/ ./internal/cliflags/ ./cmd/owl/ ./cmd/owl-tables/ -run 'Engine|Parity|Defaults'
 	@echo "cross-engine differential gate passed"
 
+# Shared-prefix gate (DESIGN.md §5): the race verifier resumes each
+# seeded attempt from a fork of the seed's reference run instead of step
+# 0. At full noise, where the shared stretch is ~40% of verifier steps,
+# every recipe of every workload must give the same hints as
+# raceverify.Verify from step 0, and every resumed attempt must end at
+# the same iteration with the same verdict. (`go test ./...` runs the
+# light-noise half; this half is behind the fullnoise build tag.)
+shared-prefix:
+	$(GO) test -count=1 -tags fullnoise -run 'TestSharedPrefixMatchesFresh' ./internal/owl/
+	@echo "shared-prefix gate passed"
+
 # Standing fuzz lane (docs/BYTECODE.md): FuzzEngineDiff explores
 # generated program × schedule seeds beyond its seed corpus for 45s
 # (CI allows at most 60s). A divergence between the engines fails the
@@ -250,6 +263,13 @@ bench-interp:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkEngineAblation' -benchtime 1x . >> BENCH_interp.json
 	@sed -n 's/.*"Output":"\(.*\)"}$$/\1/p' BENCH_interp.json | tr -d '\n' | xargs -0 printf '%b' | grep -E 'Benchmark.*op' || true
 
+# Race-verification stage microbenchmark: the seed-major, shared-prefix
+# stage alone on apache at full noise, with allocations. The -json
+# stream lands in BENCH_raceverify.json.
+bench-raceverify:
+	$(GO) test -json -run '^$$' -bench 'BenchmarkRaceVerifyStage' -benchmem ./internal/owl > BENCH_raceverify.json
+	@sed -n 's/.*"Output":"\(.*\)"}$$/\1/p' BENCH_raceverify.json | tr -d '\n' | xargs -0 printf '%b' | grep -E 'Benchmark.*op' || true
+
 # Distill whatever BENCH_*.json test2json streams exist into one
 # machine-readable BENCH_summary.json: {source, name, ns/op, B/op,
 # allocs/op} rows (internal/benchfmt). CI runs it after the bench
@@ -259,6 +279,6 @@ bench-summary:
 
 clean:
 	rm -f BENCH_pipeline.json BENCH_detector.json BENCH_explore.json \
-		BENCH_predict.json BENCH_interp.json BENCH_smoke.json BENCH_serve.json \
+		BENCH_predict.json BENCH_interp.json BENCH_raceverify.json BENCH_smoke.json BENCH_serve.json \
 		BENCH_summary.json BENCH_golden_actual.txt BENCH_golden_bytecode.txt \
 		cpu.pprof mem.pprof

@@ -45,3 +45,11 @@ func CheckRunQueue(m *Machine) error {
 	}
 	return nil
 }
+
+// GenSnapProgram and MachineState expose the snapshot-test program
+// generator and state renderer to the external test package, whose
+// tests schedule with package sched (which imports interp).
+var (
+	GenSnapProgram = genSnapProgram
+	MachineState   = machineState
+)

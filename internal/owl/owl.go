@@ -385,11 +385,10 @@ func Run(p Program, opts Options) (*Result, error) {
 	mc.Count("owl.adhoc_syncs", int64(res.Stats.AdhocSyncs))
 	mc.Count("owl.after_annotation", int64(res.Stats.AfterAnnotation))
 
-	// Step 3: dynamic race verification with security hints. Each report
-	// is verified on its own freshly built machines, so the per-report
-	// loop fans out; hints are collected in report order. A quarantined
-	// verification drops its report from every later stage (neither
-	// verified nor eliminated — lost).
+	// Step 3: dynamic race verification with security hints, seed-major
+	// (verifyRaces). Hints are collected in report order. A quarantined
+	// or lost verification drops its report from every later stage
+	// (neither verified nor eliminated — lost).
 	mk := factory(p, opts.Engine)
 	rvLost := 0
 	if !opts.DisableRaceVerify {
@@ -398,18 +397,7 @@ func Run(p Program, opts Options) (*Result, error) {
 			rv = raceverify.New()
 		}
 		st = sup.Stage("owl.raceverify")
-		hints := make([]*raceverify.Hint, len(working))
-		st.ForEach(0, len(working), workers, func(_ context.Context, i int) error {
-			if err := st.Inject(i); err != nil {
-				return err
-			}
-			h, err := rv.Verify(mk, working[i])
-			if err != nil {
-				return fmt.Errorf("race verification of %s: %w", working[i].ID(), err)
-			}
-			hints[i] = h
-			return nil
-		})
+		hints := verifyRaces(st, rv, mk, working, workers, mc)
 		if err := endStage(st); err != nil {
 			finish()
 			return nil, fmt.Errorf("owl: %w", err)
@@ -833,6 +821,99 @@ func containsID(ids []string, id string) bool {
 		}
 	}
 	return false
+}
+
+// verifyRaces is the race-verification stage. It runs seed-major: round
+// s runs seed s's attempt at every report still pending, each resuming
+// from the round's shared prefix (raceverify.Prefix) instead of step 0.
+// Only the current round's prefix is referenced, so one seed's reference
+// state is live at a time. A report leaves the rounds once caught,
+// quarantined or lost: it is injected and counted at most once, and its
+// Attempts equal those of a report-major loop. A nil hint marks a
+// quarantined or lost report.
+func verifyRaces(st *supervise.StageRun, rv *raceverify.Verifier, mk raceverify.MachineFactory, reps []*race.Report, workers int, mc *metrics.Collector) []*raceverify.Hint {
+	hints := make([]*raceverify.Hint, len(reps))
+	// outs holds each report's outcome in the current round; nil marks
+	// a report whose job did not complete.
+	outs := make([]*raceverify.Outcome, len(reps))
+	pending := make([]int, len(reps))
+	for i := range pending {
+		pending[i] = i
+	}
+	var resumed, skipped, unrun int64
+	for seed := 1; seed <= rv.Seeds() && len(pending) > 0; seed++ {
+		// Past the stage deadline every pending job is lost unrun, so the
+		// round needs no reference.
+		var (
+			prefix    *raceverify.Prefix
+			prefixErr error
+		)
+		if st.Ctx().Err() == nil {
+			round := make([]*race.Report, len(pending))
+			for k, i := range pending {
+				round[k] = reps[i]
+			}
+			prefix, prefixErr = sharedPrefix(rv, mk, seed, round)
+		}
+		st.ForEachRun(pending, workers, func(_ context.Context, i int) error {
+			h := hints[i]
+			if seed == 1 {
+				if err := st.Inject(i); err != nil {
+					return err
+				}
+				h = &raceverify.Hint{Report: reps[i]}
+				hints[i] = h
+			}
+			var o raceverify.Outcome
+			if raceverify.Verifiable(reps[i]) {
+				err := prefixErr
+				if err == nil {
+					o, err = rv.Attempt(mk, seed, prefix, h)
+				}
+				if err != nil {
+					return fmt.Errorf("race verification of %s: %w", reps[i].ID(), err)
+				}
+			}
+			outs[i] = &o
+			return nil
+		})
+		next := pending[:0]
+		for _, i := range pending {
+			o := outs[i]
+			if o == nil {
+				hints[i] = nil
+				continue
+			}
+			outs[i] = nil
+			if o.Unrun {
+				unrun++
+			} else if o.From > 0 {
+				resumed++
+			}
+			skipped += int64(o.From)
+			if !hints[i].Verified && raceverify.Verifiable(reps[i]) {
+				next = append(next, i)
+			}
+		}
+		pending = next
+	}
+	mc.Count("raceverify.fork_resumes", resumed)
+	mc.Count("raceverify.steps_skipped", skipped)
+	mc.Count("raceverify.unrun_attempts", unrun)
+	return hints
+}
+
+// sharedPrefix runs seed's reference over the round's reports. The
+// reference runs outside the stage's supervised jobs, so a panic in it
+// is returned as an error, which every attempt of the round then
+// reports.
+func sharedPrefix(rv *raceverify.Verifier, mk raceverify.MachineFactory, seed int, reps []*race.Report) (p *raceverify.Prefix, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p, err = nil, fmt.Errorf("race verifier: shared prefix of seed %d: panic: %v", seed, r)
+		}
+	}()
+	return rv.Prefix(mk, seed, reps)
 }
 
 // factory builds verification machines for the program.

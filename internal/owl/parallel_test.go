@@ -26,9 +26,9 @@ func fingerprint(res *Result) string {
 		fmt.Fprintf(&b, "ann %s x%d\n", r.ID(), r.Count)
 	}
 	for _, h := range res.Hints {
-		fmt.Fprintf(&b, "hint %s verified=%v attempts=%d read=%d write=%d var=%q null=%v uninit=%v sched=%v\n",
+		fmt.Fprintf(&b, "hint %s verified=%v attempts=%d read=%d write=%d var=%q null=%v uninit=%v\n",
 			h.Report.ID(), h.Verified, h.Attempts, h.ReadVal, h.WriteVal,
-			h.VarName, h.WritesNull, h.ReadsUninitialized, h.Schedule)
+			h.VarName, h.WritesNull, h.ReadsUninitialized)
 	}
 	ids := make([]string, 0, len(res.FindingsByReport))
 	for id := range res.FindingsByReport {

@@ -1,13 +1,16 @@
 package owl
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/conanalysis/owl/internal/faultinject"
+	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/metrics"
+	"github.com/conanalysis/owl/internal/raceverify"
 	"github.com/conanalysis/owl/internal/supervise"
 	"github.com/conanalysis/owl/internal/workloads"
 )
@@ -258,5 +261,129 @@ func TestCannedAcceptancePlanLoads(t *testing.T) {
 	}
 	if len(res.Quarantined) != 2 || len(res.Degraded) == 0 {
 		t.Fatalf("canned plan: quar=%+v deg=%+v", res.Quarantined, res.Degraded)
+	}
+}
+
+// TestRaceVerifyRoundsKeepFaultRecords pins the race-verification
+// stage's fault accounting across its seed-major rounds: a report is
+// injected once, so a stage deadline that stalls every verification and
+// a plan that quarantines some reports (one after a retry) give the
+// same Degradation and Quarantined records, retry count and hint totals
+// at every worker count as the report-by-report stage did (the wanted
+// strings are that stage's output).
+func TestRaceVerifyRoundsKeepFaultRecords(t *testing.T) {
+	w := workloads.Get("apache", workloads.NoiseLight)
+	rec := w.Recipe(w.Attacks[0].InputRecipe)
+	prog := Program{Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: w.MaxSteps}
+	for _, c := range []struct {
+		name    string
+		plan    func() *faultinject.Plan
+		timeout time.Duration
+		want    string
+	}{
+		{
+			name: "deadline",
+			plan: func() *faultinject.Plan {
+				return &faultinject.Plan{Seed: 5, Rules: []faultinject.Rule{
+					{Stage: "owl.raceverify", Run: -1, Kind: faultinject.KindDelay, DelayMS: 60000},
+				}}
+			},
+			timeout: 2 * time.Second,
+			want: "deg stage owl.raceverify degraded (timeout): 22 run(s) lost — stage deadline 2s exceeded\n" +
+				"hints 0 verified 0 attempts 0 retries 0\n",
+		},
+		{
+			name: "quarantine",
+			plan: func() *faultinject.Plan {
+				return &faultinject.Plan{Seed: 6, Rules: []faultinject.Rule{
+					{Stage: "owl.raceverify", Run: 0, Kind: faultinject.KindError, Times: 1, Msg: "transient io"},
+					{Stage: "owl.raceverify", Run: 3, Kind: faultinject.KindPanic, Msg: "bad report"},
+					{Stage: "owl.raceverify", Run: 17, Kind: faultinject.KindError, Msg: "bad report"},
+				}}
+			},
+			want: "quar quarantined owl.raceverify run 3 after 2 attempt(s): panic: injected panic at owl.raceverify run 3: bad report\n" +
+				"quar quarantined owl.raceverify run 17 after 2 attempt(s): error: injected error at owl.raceverify run 17: bad report\n" +
+				"deg stage owl.raceverify degraded (quarantine): 2 run(s) lost — panic: injected panic at owl.raceverify run 3: bad report\n" +
+				"hints 20 verified 8 attempts 104 retries 3\n",
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var base string
+			for _, workers := range []int{1, 2} {
+				mc := metrics.New()
+				res, err := Run(prog, Options{
+					Workers: workers, Faults: c.plan(), StageTimeout: c.timeout, Retries: 1,
+					DisableVulnVerify: true, Metrics: mc,
+				})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				verified, attempts := 0, 0
+				for _, h := range res.Hints {
+					attempts += h.Attempts
+					if h.Verified {
+						verified++
+					}
+				}
+				var retries int64
+				for _, x := range mc.Snapshot().Counters {
+					if x.Name == "owl.retries" {
+						retries = x.Value
+					}
+				}
+				got := robustFingerprint(res) + fmt.Sprintf("hints %d verified %d attempts %d retries %d\n",
+					len(res.Hints), verified, attempts, retries)
+				if workers == 1 {
+					base = got
+				} else if got != base {
+					t.Errorf("workers=%d diverged:\n%s", workers, diffLines(base, got))
+				}
+				if got != c.want {
+					t.Errorf("workers=%d records:\n%s\nwant:\n%s", workers, got, c.want)
+				}
+			}
+		})
+	}
+}
+
+// TestRaceVerifyReferenceFailureQuarantines: the shared reference runs
+// outside the supervised jobs, so when it cannot build its machine, or
+// panics, every report of the round is quarantined with the cause —
+// for a build error with the same reason a from-step-0 attempt gives.
+func TestRaceVerifyReferenceFailureQuarantines(t *testing.T) {
+	res, err := Run(libsafeProgram(t), Options{DisableRaceVerify: true, DisableVulnVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := res.Annotated
+	if len(reps) == 0 {
+		t.Fatal("no reports to verify")
+	}
+	for _, c := range []struct {
+		name string
+		mk   raceverify.MachineFactory
+		want string
+	}{
+		{"error", func(interp.Scheduler, interp.BreakpointFunc) (*interp.Machine, error) {
+			return nil, errors.New("boom")
+		}, "race verifier: build machine: boom"},
+		{"panic", func(interp.Scheduler, interp.BreakpointFunc) (*interp.Machine, error) {
+			panic("boom")
+		}, "race verifier: shared prefix of seed 1: panic: boom"},
+	} {
+		sup := supervise.New(supervise.Config{})
+		st := sup.Stage("owl.raceverify")
+		hints := verifyRaces(st, raceverify.New(), c.mk, reps, 2, nil)
+		st.Close()
+		q := sup.Quarantined()
+		if len(q) != len(reps) {
+			t.Fatalf("%s: %d of %d reports quarantined", c.name, len(q), len(reps))
+		}
+		for i, h := range hints {
+			want := fmt.Sprintf("error: race verification of %s: %s", reps[i].ID(), c.want)
+			if h != nil || q[i].Run != i || q[i].Reason != want {
+				t.Errorf("%s: report %d: hint %v, record %+v, want reason %q", c.name, i, h, q[i], want)
+			}
+		}
 	}
 }

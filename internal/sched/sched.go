@@ -198,6 +198,14 @@ func (s *Random) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
 	return runnable[s.r.intn(len(runnable))]
 }
 
+// Clone returns an independent scheduler in the same state: it draws
+// exactly the numbers s would draw from here on. Paired with an
+// interp.Snapshot taken at the same step, it forks a seeded run.
+func (s *Random) Clone() *Random {
+	r := *s.r
+	return &Random{r: &r}
+}
+
 // Plan implements interp.PlanningScheduler: the draws are simulated on
 // a copy of the generator state, and Advance replays exactly the
 // consumed prefix on the real state. intn draws nothing for a

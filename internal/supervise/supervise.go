@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -276,6 +277,23 @@ func (st *StageRun) ForEach(base, n, workers int, fn func(ctx context.Context, i
 	if n <= 0 {
 		return 0
 	}
+	runs := make([]int, n)
+	for i := range runs {
+		runs[i] = base + i
+	}
+	return st.ForEachRun(runs, workers, fn)
+}
+
+// ForEachRun is ForEach over an explicit list of run indices. A stage
+// that works in rounds runs each round over only the runs still
+// pending, so a run that already finished is neither repeated nor
+// counted lost a second time when the stage deadline passes. The
+// stage's quarantine records stay in run-index order across rounds.
+func (st *StageRun) ForEachRun(runs []int, workers int, fn func(ctx context.Context, i int) error) int {
+	n := len(runs)
+	if n == 0 {
+		return 0
+	}
 	if workers > n {
 		workers = n
 	}
@@ -290,7 +308,7 @@ func (st *StageRun) ForEach(base, n, workers int, fn func(ctx context.Context, i
 	retriedBy := make([]int, n)
 	one := func(i int) {
 		start := time.Now()
-		q, lost, retried := st.runJob(base+i, fn)
+		q, lost, retried := st.runJob(runs[i], fn)
 		mc.AddBusy(st.name, time.Since(start))
 		quar[i], lostFlags[i], retriedBy[i] = q, lost, retried
 		if q != nil && st.sup.cfg.CancelOnFault {
@@ -333,6 +351,9 @@ func (st *StageRun) ForEach(base, n, workers int, fn func(ctx context.Context, i
 			completed++
 		}
 	}
+	sort.SliceStable(st.quarantined, func(a, b int) bool {
+		return st.quarantined[a].Run < st.quarantined[b].Run
+	})
 	st.completed += completed
 	st.mu.Unlock()
 	return completed

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -209,5 +211,55 @@ func TestRootCancelMarksRunsLost(t *testing.T) {
 	}
 	if deg == nil || deg.Reason != "canceled" || deg.RunsLost != 3 {
 		t.Fatalf("degradation = %+v, want canceled with 3 runs lost", deg)
+	}
+}
+
+// TestForEachRunRounds drives a stage in rounds over shrinking lists of
+// run indices, as the race-verification stage does: each round runs
+// only the listed runs, quarantine records stay in run-index order
+// across rounds, and once the stage deadline passes each pending run is
+// counted lost exactly once.
+func TestForEachRunRounds(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		sup := New(Config{StageTimeout: time.Hour})
+		st := sup.Stage("stage")
+		var ran []int
+		var mu sync.Mutex
+		job := func(round int) func(context.Context, int) error {
+			return func(_ context.Context, i int) error {
+				mu.Lock()
+				ran = append(ran, i)
+				mu.Unlock()
+				if round == 1 && i == 8 || round == 2 && i == 3 {
+					panic(fmt.Sprintf("boom %d", i))
+				}
+				return nil
+			}
+		}
+		if n := st.ForEachRun([]int{2, 5, 8}, workers, job(1)); n != 2 {
+			t.Fatalf("workers=%d: round 1 completed %d runs, want 2", workers, n)
+		}
+		if n := st.ForEachRun([]int{3, 5}, workers, job(2)); n != 1 {
+			t.Fatalf("workers=%d: round 2 completed %d runs, want 1", workers, n)
+		}
+		sort.Ints(ran)
+		if fmt.Sprint(ran) != "[2 3 5 5 8]" {
+			t.Fatalf("workers=%d: ran %v, want only the listed runs", workers, ran)
+		}
+		st.cancel() // the deadline passes: the pending runs are lost once
+		if n := st.ForEachRun([]int{2, 5}, workers, job(3)); n != 0 {
+			t.Fatalf("workers=%d: round 3 completed %d runs after the deadline", workers, n)
+		}
+		deg := st.Close()
+		var runs []int
+		for _, q := range sup.Quarantined() {
+			runs = append(runs, q.Run)
+		}
+		if fmt.Sprint(runs) != "[3 8]" {
+			t.Errorf("workers=%d: quarantined runs %v, want [3 8] in run order", workers, runs)
+		}
+		if deg == nil || deg.RunsLost != 4 {
+			t.Errorf("workers=%d: degradation %+v, want 2 quarantined + 2 lost", workers, deg)
+		}
 	}
 }
