@@ -13,7 +13,8 @@
 #   make predict         predictor suites under -race + confirm-differential gate
 #   make engine-diff     cross-engine differential gate (tree vs bytecode)
 #   make shared-prefix   shared-prefix race verification vs from-step-0, full noise
-#   make fuzz-smoke      bounded fuzz run of the cross-engine differential
+#   make fuzz-smoke      bounded fuzz runs of the cross-engine differential and
+#                        the checkpoint decoder
 #   make fmt-check       fail if any file needs gofmt (CI lint job)
 #   make golden          diff `owl-tables -stable` against the committed fixture
 #   make golden-bytecode same diff with -engine=bytecode (engines must agree)
@@ -65,17 +66,19 @@ serve-gate:
 	@echo "serve gate passed"
 
 # Durable-store gate (docs/SERVE.md, docs/ROBUSTNESS.md): the persist
-# layer's checkpoint+WAL frame suite and the serve-level crash-recovery
-# tests under -race — restart-resume parity against a never-restarted
-# server, kill-without-drain WAL replay, the disk-fault matrix (torn
-# write, bit flip, short write, fsync error), LRU eviction with and
+# layer's checkpoint suite and the serve-level crash-recovery tests
+# under -race — restart-resume parity against a never-restarted server,
+# kill-without-drain recovery from the per-job checkpoint, an accepted
+# peer merge surviving a kill, the disk-fault matrix (torn write, bit
+# flip, short write, fsync and dir-fsync errors, fault-then-heal), a
+# WAL-era state dir with a leftover WAL, LRU eviction with and
 # without rehydration, drain racing live SSE subscribers, and
 # checkpoint-while-absorbing — then the process-level smoke: the real
 # binary SIGKILLed mid-life, fsck'd, restarted, and resumed.
 persist-gate:
 	$(GO) test -race -count=1 -shuffle=on ./internal/serve/persist/
 	$(GO) test -race -count=1 ./internal/serve/ \
-		-run 'Persist|Restart|Kill|DiskFault|Eviction|Drain|Checkpoint|Fsck'
+		-run 'Persist|Restart|Kill|DiskFault|LeftoverWAL|Eviction|Drain|Checkpoint|Fsck'
 	$(GO) test -count=1 ./cmd/owl-serve/
 	@echo "durable-store gate passed"
 
@@ -165,11 +168,16 @@ shared-prefix:
 
 # Standing fuzz lane (docs/BYTECODE.md): FuzzEngineDiff explores
 # generated program × schedule seeds beyond its seed corpus for 45s
-# (CI allows at most 60s). A divergence between the engines fails the
-# lane, and Go saves the input under internal/race/testdata/fuzz/ to
-# become a named regression test.
+# (CI allows at most 60s per target). A divergence between the engines
+# fails the lane, and Go saves the input under internal/race/testdata/fuzz/
+# to become a named regression test. FuzzDecodeCheckpoint then mutates
+# real state blobs for 30s: the checkpoint is both the only durable
+# format and the replica wire format, so the decoder must never panic
+# and whatever it accepts must round-trip. Its corpus blobs run to
+# 130 KB, so minimizing a new input is capped at 1s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineDiff$$' -fuzztime 45s -parallel 2 ./internal/race/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 30s -fuzzminimizetime 1s -parallel 2 ./internal/serve/persist/
 	@echo "fuzz smoke passed"
 
 fmt-check:

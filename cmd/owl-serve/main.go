@@ -8,23 +8,24 @@
 //
 //	owl-serve [-addr :8080] [-shards 4] [-queue 64] [-workers 1]
 //	          [-snap-entries 64] [-tenant-quota 16] [-drain-timeout 30s]
-//	          [-state-dir DIR] [-checkpoint-every 8] [-max-programs 0]
+//	          [-state-dir DIR] [-max-programs 0]
 //	          [-peers http://replica-2:8080,...] [-peer-timeout 2s]
 //	owl-serve -fsck -state-dir DIR
 //
 // With -peers the replica joins a fleet: a cold submission first asks
 // the listed peers for the program's accumulated state (so only one
-// replica ever pays a program's cold-start), and after each checkpoint
-// fold the replica pushes its newest state back out (anti-entropy). A
+// replica ever pays a program's cold-start), and after each completed
+// job the replica pushes its newest state back out (anti-entropy). A
 // peer being down, slow, or corrupt never fails a submission — it only
 // costs warmth. See docs/SERVE.md.
 //
-// With -state-dir the store is crash-safe: every completed job is
-// WAL-appended under the directory before its status publishes, boot
-// replays checkpoint+WAL (quarantining anything damaged), and a repeat
-// submission after a restart resumes exactly where the dead process
-// left off. -fsck validates and repairs a state directory offline and
-// exits (nonzero when programs had to be quarantined).
+// With -state-dir the store is crash-safe: every completed job
+// atomically rewrites its program's one checkpoint file under the
+// directory before its status publishes, boot reads those checkpoints
+// back (quarantining anything damaged), and a repeat submission after a
+// restart resumes exactly where the dead process left off. -fsck
+// validates and repairs a state directory offline and exits (nonzero
+// when programs had to be quarantined).
 //
 // SIGINT/SIGTERM triggers a graceful drain: the listener stops
 // accepting, queued and running jobs finish, state is checkpointed,
@@ -64,7 +65,6 @@ func run(args []string) error {
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight jobs on shutdown")
 	stateDir := fs.String("state-dir", "", "state directory for crash-safe persistence (empty = in-memory only)")
-	checkpointEvery := fs.Int("checkpoint-every", 8, "fold a program's WAL into a checkpoint after this many records")
 	maxPrograms := fs.Int("max-programs", 0, "max in-memory program states; LRU-evict beyond this (0 = unlimited)")
 	peers := fs.String("peers", "", "comma-separated base URLs of the other fleet replicas (fleet warm-start; empty = off)")
 	peerTimeout := fs.Duration("peer-timeout", 2*time.Second, "per-request timeout against a fleet peer")
@@ -93,17 +93,16 @@ func run(args []string) error {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Shards:          *shards,
-		QueueDepth:      *queue,
-		Workers:         *workers,
-		SnapEntries:     *snapEntries,
-		TenantQuota:     *tenantQuota,
-		RetryAfter:      *retryAfter,
-		StateDir:        *stateDir,
-		CheckpointEvery: *checkpointEvery,
-		MaxPrograms:     *maxPrograms,
-		Peers:           peerURLs,
-		PeerTimeout:     *peerTimeout,
+		Shards:      *shards,
+		QueueDepth:  *queue,
+		Workers:     *workers,
+		SnapEntries: *snapEntries,
+		TenantQuota: *tenantQuota,
+		RetryAfter:  *retryAfter,
+		StateDir:    *stateDir,
+		MaxPrograms: *maxPrograms,
+		Peers:       peerURLs,
+		PeerTimeout: *peerTimeout,
 	})
 	if err != nil {
 		return err

@@ -291,7 +291,7 @@ func (d *DiskFault) Error() string {
 }
 
 // Disk is the storage-layer injection hook: op names the I/O point (the
-// rule's Stage, e.g. "persist.wal.append" or "persist.checkpoint.fsync")
+// rule's Stage, e.g. "persist.checkpoint.write" or "persist.dir.fsync")
 // and seq is the per-target sequence number of that operation (the
 // rule's Run; -1 in a rule matches every occurrence). It returns the
 // first matching disk rule's fault, or nil. The same determinism

@@ -31,10 +31,6 @@ type ExploreState struct {
 	seen         map[string]bool
 	snap         *SnapCache
 	explorations int
-	// journal, when non-nil, accumulates what each Absorb newly learned
-	// in stable form until TakeDelta drains it (see stable.go). Nil by
-	// default: journaling is opt-in via SetJournal.
-	journal *StateDelta
 }
 
 // NewExploreState returns an empty state. snapEntries > 0 additionally
@@ -127,26 +123,9 @@ func (s *ExploreState) Absorb(e *Engine) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k := range e.cov.pairs {
-		if _, ok := s.cov.pairs[k]; ok {
-			continue
-		}
-		s.cov.pairs[k] = struct{}{}
-		if s.journal != nil {
-			s.journal.Pairs = append(s.journal.Pairs, stablePairOf(k))
-		}
-	}
+	s.cov.MergeCoverage(e.cov)
 	for id := range e.seen {
-		if s.seen[id] {
-			continue
-		}
 		s.seen[id] = true
-		if s.journal != nil {
-			s.journal.Seen = append(s.journal.Seen, id)
-		}
 	}
 	s.explorations++
-	if s.journal != nil {
-		s.journal.Explorations = s.explorations
-	}
 }

@@ -4,8 +4,7 @@
 // flat instruction index — deterministic products of Module.Freeze) and
 // Import re-binds them against a re-resolved module, refusing to guess
 // when a position no longer resolves. The serve persistence layer
-// (internal/serve/persist) stores Export's snapshot in checkpoints and
-// the per-job journal deltas in its WAL.
+// (internal/serve/persist) stores Export's snapshot in checkpoints.
 package sched
 
 import (
@@ -83,23 +82,6 @@ type StateSnapshot struct {
 	Explorations int          `json:"explorations"`
 }
 
-// StateDelta is the journaled growth of an ExploreState since the last
-// TakeDelta: the newly covered pairs and newly seen report IDs (sorted,
-// set semantics — replaying a delta twice is harmless) plus the
-// absolute exploration count after the delta. Absolute, not an
-// increment, so that replaying any suffix of deltas on top of any
-// checkpoint converges to the same counters.
-type StateDelta struct {
-	Pairs        []StablePair `json:"pairs,omitempty"`
-	Seen         []string     `json:"seen,omitempty"`
-	Explorations int          `json:"explorations"`
-}
-
-// Empty reports whether the delta carries nothing.
-func (d *StateDelta) Empty() bool {
-	return d == nil || (len(d.Pairs) == 0 && len(d.Seen) == 0 && d.Explorations == 0)
-}
-
 // Export snapshots the state in stable form. Safe to call concurrently
 // with Absorb; the snapshot is a consistent point-in-time view.
 func (s *ExploreState) Export() StateSnapshot {
@@ -127,8 +109,7 @@ func (s *ExploreState) Export() StateSnapshot {
 // program — callers discard it and count the loss rather than serve
 // silently-wrong coverage). Import is only valid on a cold state; a
 // warm one already carries live pairs the load would silently merge
-// with. Imported data never lands in the journal — it is already
-// durable wherever it came from.
+// with.
 func (s *ExploreState) Import(m *ir.Module, snap StateSnapshot) error {
 	if s == nil {
 		return fmt.Errorf("sched: import into nil ExploreState")
@@ -160,53 +141,13 @@ func (s *ExploreState) Import(m *ir.Module, snap StateSnapshot) error {
 	return nil
 }
 
-// SetJournal switches per-absorb delta journaling on or off. With the
-// journal on, every Absorb records which pairs and report IDs were new;
-// TakeDelta drains them. Off (the default) keeps Absorb allocation-free
-// for callers that never persist.
-func (s *ExploreState) SetJournal(on bool) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if on && s.journal == nil {
-		s.journal = &StateDelta{}
-	} else if !on {
-		s.journal = nil
-	}
-}
-
-// TakeDelta drains the journal: everything absorbed since the previous
-// TakeDelta (or SetJournal), in sorted order, with the absolute
-// exploration count stamped in. Returns nil when journaling is off or
-// nothing accumulated.
-func (s *ExploreState) TakeDelta() *StateDelta {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.journal == nil || (len(s.journal.Pairs) == 0 && len(s.journal.Seen) == 0 && s.journal.Explorations == 0) {
-		return nil
-	}
-	d := s.journal
-	s.journal = &StateDelta{}
-	sortPairs(d.Pairs)
-	sort.Strings(d.Seen)
-	d.Explorations = s.explorations
-	return d
-}
-
 // Merge folds a full snapshot from another replica into the state —
 // the warm-state counterpart of Import. Pairs and seen IDs union in
 // (set semantics), Explorations takes the max (both sides count real
 // absorbed explorations; max keeps the counter monotonic without
 // double-counting shared history). The same refuse-to-guess contract
 // as Import applies: any unresolvable pair fails the whole merge with
-// the state untouched. Unlike Import, merged knowledge DOES land in
-// the journal when journaling is on — it is durable on the peer it
-// came from, not here, and the next WAL record must carry it.
+// the state untouched.
 //
 // The returned bool reports whether anything new landed; false means
 // the snapshot was stale (already a subset of this state).
@@ -229,71 +170,21 @@ func (s *ExploreState) Merge(m *ir.Module, snap StateSnapshot) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	changed := false
-	for i, k := range resolved {
-		if _, ok := s.cov.pairs[k]; ok {
-			continue
-		}
-		s.cov.pairs[k] = struct{}{}
-		changed = true
-		if s.journal != nil {
-			s.journal.Pairs = append(s.journal.Pairs, snap.Pairs[i])
+	for _, k := range resolved {
+		if _, ok := s.cov.pairs[k]; !ok {
+			s.cov.pairs[k] = struct{}{}
+			changed = true
 		}
 	}
 	for _, id := range snap.Seen {
-		if s.seen[id] {
-			continue
-		}
-		s.seen[id] = true
-		changed = true
-		if s.journal != nil {
-			s.journal.Seen = append(s.journal.Seen, id)
+		if !s.seen[id] {
+			s.seen[id] = true
+			changed = true
 		}
 	}
 	if snap.Explorations > s.explorations {
 		s.explorations = snap.Explorations
 		changed = true
-		if s.journal != nil {
-			s.journal.Explorations = s.explorations
-		}
 	}
 	return changed, nil
-}
-
-// ApplyDelta folds a journaled delta into the state (WAL replay during
-// recovery), re-binding its pairs against m under the same
-// refuse-to-guess contract as Import. Set semantics plus the absolute
-// exploration counter make replay idempotent: applying the same delta
-// twice, or a delta already folded into an imported snapshot, changes
-// nothing.
-func (s *ExploreState) ApplyDelta(m *ir.Module, d *StateDelta) error {
-	if d.Empty() {
-		return nil
-	}
-	if s == nil {
-		return fmt.Errorf("sched: apply delta to nil ExploreState")
-	}
-	if m == nil || !m.Frozen() {
-		return fmt.Errorf("sched: apply delta needs a frozen module")
-	}
-	resolved := make([]covKey, len(d.Pairs))
-	for i, p := range d.Pairs {
-		k, ok := p.resolve(m)
-		if !ok {
-			return fmt.Errorf("sched: delta pair %d (@%s#%d -> @%s#%d) does not resolve in module %s",
-				i, p.FromFn, p.FromIx, p.ToFn, p.ToIx, m.Name)
-		}
-		resolved[i] = k
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, k := range resolved {
-		s.cov.pairs[k] = struct{}{}
-	}
-	for _, id := range d.Seen {
-		s.seen[id] = true
-	}
-	if d.Explorations > s.explorations {
-		s.explorations = d.Explorations
-	}
-	return nil
 }

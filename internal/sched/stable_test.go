@@ -120,77 +120,6 @@ func TestImportRefusesToGuess(t *testing.T) {
 	}
 }
 
-// TestJournalCapturesAbsorbDelta: with the journal on, Absorb records
-// exactly what was new, TakeDelta drains it (sorted, absolute
-// exploration count), and a second TakeDelta returns nil.
-func TestJournalCapturesAbsorbDelta(t *testing.T) {
-	m := stableTestModule(t)
-	w := m.Func("worker")
-	s := NewExploreState(0)
-	s.SetJournal(true)
-
-	e1 := NewEngine(EngineConfig{Budget: 6})
-	e1.cov.pairs[covKey{from: w.InstrAt(0), to: w.InstrAt(1)}] = struct{}{}
-	e1.cov.pairs[covKey{from: w.InstrAt(1), to: w.InstrAt(2)}] = struct{}{}
-	e1.seen["r1"] = true
-	s.Absorb(e1)
-
-	d := s.TakeDelta()
-	if d == nil || len(d.Pairs) != 2 || len(d.Seen) != 1 || d.Explorations != 1 {
-		t.Fatalf("delta = %+v", d)
-	}
-	if d.Pairs[0].FromIx > d.Pairs[1].FromIx {
-		t.Errorf("delta pairs not sorted: %+v", d.Pairs)
-	}
-	if s.TakeDelta() != nil {
-		t.Error("drained journal yielded a second delta")
-	}
-
-	// A saturated re-absorb (nothing new) still journals the exploration
-	// count, so the persistence layer records the submission.
-	e2 := NewEngine(EngineConfig{Budget: 6})
-	e2.cov.pairs[covKey{from: w.InstrAt(0), to: w.InstrAt(1)}] = struct{}{}
-	e2.seen["r1"] = true
-	s.Absorb(e2)
-	d = s.TakeDelta()
-	if d == nil || len(d.Pairs) != 0 || len(d.Seen) != 0 || d.Explorations != 2 {
-		t.Fatalf("saturated delta = %+v", d)
-	}
-}
-
-// TestApplyDeltaIdempotent: replaying a delta that is already folded in
-// (checkpoint-then-crash-before-WAL-reset) changes nothing, and
-// replaying on a cold state converges to the same counters.
-func TestApplyDeltaIdempotent(t *testing.T) {
-	m := stableTestModule(t)
-	d := &StateDelta{
-		Pairs:        []StablePair{{FromFn: "worker", FromIx: 0, ToFn: "worker", ToIx: 1}},
-		Seen:         []string{"r1"},
-		Explorations: 3,
-	}
-	s := NewExploreState(0)
-	for i := 0; i < 3; i++ {
-		if err := s.ApplyDelta(m, d); err != nil {
-			t.Fatalf("apply %d: %v", i, err)
-		}
-	}
-	if s.Pairs() != 1 || s.SeenReports() != 1 || s.Explorations() != 3 {
-		t.Fatalf("after 3 replays: pairs=%d seen=%d expl=%d", s.Pairs(), s.SeenReports(), s.Explorations())
-	}
-	// A stale delta (lower absolute count) never regresses the counter.
-	stale := &StateDelta{Explorations: 1, Seen: []string{"r0"}}
-	if err := s.ApplyDelta(m, stale); err != nil {
-		t.Fatal(err)
-	}
-	if s.Explorations() != 3 || s.SeenReports() != 2 {
-		t.Fatalf("stale replay regressed state: expl=%d seen=%d", s.Explorations(), s.SeenReports())
-	}
-	bad := &StateDelta{Pairs: []StablePair{{FromFn: "gone", FromIx: 0, ToFn: "worker", ToIx: 0}}}
-	if err := s.ApplyDelta(m, bad); err == nil {
-		t.Error("unresolvable delta applied silently")
-	}
-}
-
 // TestImportedStateResumes is the end-to-end contract: an engine resumed
 // from an imported state behaves exactly like one resumed from the
 // original — saturation early-stop and all (the scripted-coverage

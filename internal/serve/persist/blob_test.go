@@ -8,7 +8,7 @@ import (
 )
 
 // TestEncodeDecodeCheckpoint: the state-exchange blob round-trips and
-// is byte-identical to what Create lays down in the CHECKPOINT file —
+// is byte-identical to what Write lays down in the CHECKPOINT file —
 // the wire format IS the disk format.
 func TestEncodeDecodeCheckpoint(t *testing.T) {
 	ck := testCheckpoint(3, 2)
@@ -30,11 +30,9 @@ func TestEncodeDecodeCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := s.Create(ck)
-	if err != nil {
+	if err := write(s, ck); err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
 	onDisk, err := os.ReadFile(filepath.Join(s.programDir(testKey), "CHECKPOINT"))
 	if err != nil {
 		t.Fatal(err)
@@ -81,11 +79,9 @@ func TestCheckpointBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := s.Create(testCheckpoint(5, 4))
-	if err != nil {
+	if err := write(s, testCheckpoint(5, 4)); err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
 
 	blob, ck, err := s.CheckpointBlob(testKey)
 	if err != nil {
@@ -112,34 +108,26 @@ func TestCheckpointBlob(t *testing.T) {
 	}
 }
 
-// BenchmarkWALAppend measures the per-record append path (marshal +
-// frame + write + fsync). ReportAllocs pins the encode-buffer pooling:
-// before pooling each record allocated a fresh marshal buffer plus a
-// frame copy; pooled, the only steady-state allocations left are
-// json.Marshal internals.
-func BenchmarkWALAppend(b *testing.B) {
-	dir := b.TempDir()
-	s, _, err := Open(dir, Options{})
+// BenchmarkWriteCheckpoint measures the per-job durability path:
+// encode + temp-file write + fsync + rename + directory fsync.
+// ReportAllocs pins the encode-buffer pooling.
+func BenchmarkWriteCheckpoint(b *testing.B) {
+	s, _, err := Open(b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, err := s.Create(testCheckpoint(0, 0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	d := testDelta(3)
+	ck := testCheckpoint(100, 50)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := l.Append(d); err != nil {
+		if err := write(s, ck); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkEncodeCheckpoint covers the checkpoint/state-blob encode
-// path shared by checkpoint folds and replica state serving.
+// path shared by checkpoint writes and replica state serving.
 func BenchmarkEncodeCheckpoint(b *testing.B) {
 	ck := testCheckpoint(100, 50)
 	b.ReportAllocs()

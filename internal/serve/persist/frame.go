@@ -1,14 +1,11 @@
 // Frame encoding and fault-aware disk I/O for the persistence layer.
 //
-// Both blob kinds share one on-disk grammar: an 8-byte magic string
-// followed by frames, where a frame is a little-endian u32 payload
-// length, a u32 CRC-32C of the payload, and the payload bytes. A
-// checkpoint file is magic + exactly one frame; a WAL is magic + zero
-// or more frames. The CRC plus the length prefix make every class of
-// tail damage detectable: a torn write truncates mid-frame (length
-// overruns the file), a bit flip fails the checksum, and garbage after
-// a crash fails one or the other. Readers treat the first invalid frame
-// as the end of the durable prefix — nothing after it is trusted.
+// A checkpoint blob is an 8-byte magic string followed by exactly one
+// frame: a little-endian u32 payload length, a u32 CRC-32C of the
+// payload, and the payload bytes. The CRC plus the length prefix make
+// every class of damage detectable: a torn write truncates mid-frame
+// (length overruns the file), a bit flip fails the checksum, and
+// garbage fails one or the other.
 //
 // All writes and fsyncs funnel through the Store's fault-aware helpers,
 // which consult an optional faultinject.Plan keyed by operation name
@@ -21,7 +18,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -32,7 +28,6 @@ import (
 
 const (
 	ckptMagic = "OWLCKPT1"
-	walMagic  = "OWLWAL01"
 	magicLen  = 8
 	// frameMax bounds a frame payload (a state blob for one program);
 	// a length word above it is corruption, not a real frame.
@@ -41,11 +36,10 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// encBufs pools the encode buffers behind every WAL append and
-// checkpoint write. The append path runs once per completed job on a
-// long-lived server; without pooling each record allocates a marshal
-// buffer plus a frame buffer of checkpoint-scale size and the steady
-// state churns the GC for no reason.
+// encBufs pools the scratch buffers EncodeCheckpoint encodes into. A
+// checkpoint is encoded once per completed job on a long-lived server;
+// the pool keeps that to one exact-size copy per blob instead of a
+// buffer regrown from empty every time.
 var encBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getEncBuf() *bytes.Buffer {
@@ -62,65 +56,72 @@ func putEncBuf(buf *bytes.Buffer) {
 	}
 }
 
-// marshalFramed JSON-encodes v directly into a pooled buffer laid out
-// as one complete frame (len|crc|payload) with no intermediate copies.
-// The caller must hand the buffer back via putEncBuf when the bytes
-// have been written out.
-func marshalFramed(v any) (*bytes.Buffer, error) {
+// encodeBlob JSON-encodes ck (stamped with the current Version)
+// directly into a pooled buffer laid out as one complete blob
+// (magic|len|crc|payload) with no intermediate copies. The caller must
+// hand the buffer back via putEncBuf once it has copied the bytes out.
+func encodeBlob(ck Checkpoint) (*bytes.Buffer, error) {
+	ck.Version = Version
 	buf := getEncBuf()
+	buf.WriteString(ckptMagic)
 	buf.Write(make([]byte, 8)) // frame header, filled in below
 	enc := json.NewEncoder(buf)
-	if err := enc.Encode(v); err != nil {
+	if err := enc.Encode(ck); err != nil {
 		putEncBuf(buf)
 		return nil, err
 	}
 	buf.Truncate(buf.Len() - 1) // drop Encoder's trailing newline
-	b := buf.Bytes()
-	payload := b[8:]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(payload, castagnoli))
+	frame := buf.Bytes()[magicLen:]
+	payload := frame[8:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
 	return buf, nil
 }
 
-// readFrame decodes the frame at data[off:]. ok is false when the bytes
-// at off do not form a complete, checksummed frame — the durable prefix
-// ends at off.
-func readFrame(data []byte, off int) (payload []byte, next int, ok bool) {
-	if off+8 > len(data) {
-		return nil, off, false
+// readFrame decodes body as exactly one complete, checksummed frame.
+// ok is false for any damage: a short header, a length that overruns
+// or underruns body, or a checksum mismatch.
+func readFrame(body []byte) (payload []byte, ok bool) {
+	if len(body) < 8 {
+		return nil, false
 	}
-	n := binary.LittleEndian.Uint32(data[off : off+4])
-	if n > frameMax || off+8+int(n) > len(data) {
-		return nil, off, false
+	n := binary.LittleEndian.Uint32(body[0:4])
+	if n > frameMax || 8+int(n) != len(body) {
+		return nil, false
 	}
-	payload = data[off+8 : off+8+int(n)]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[off+4:off+8]) {
-		return nil, off, false
+	payload = body[8:]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(body[4:8]) {
+		return nil, false
 	}
-	return payload, off + 8 + int(n), true
+	return payload, true
 }
 
-// opSeq returns the next sequence number for (key, op) — the run index
-// disk-fault rules match on.
-func (s *Store) opSeq(key, op string) int {
+// diskFault consults the fault plan for the next run of (key, op). The
+// per-(key, op) sequence is counted only when a plan is set: a
+// fault-free server must not grow a counter map entry per program it
+// ever wrote, nor serialize its writes on the store-wide mutex.
+func (s *Store) diskFault(key, op string) *faultinject.DiskFault {
+	if s.opts.Faults == nil {
+		return nil
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.seq == nil {
 		s.seq = make(map[string]int)
 	}
 	k := key + "|" + op
 	n := s.seq[k]
 	s.seq[k] = n + 1
-	return n
+	s.mu.Unlock()
+	return s.opts.Faults.Disk(op, n)
 }
 
-// write appends b to f through the fault plan. A short-write fault
-// writes half the buffer and reports the error (the caller truncates
-// back); a torn-write fault writes half and reports success (the
-// page-cache tail a crash loses); a bit-flip fault corrupts one bit and
-// writes it all (the damage only a checksum catches).
+// write writes b to f through the fault plan. A short-write fault
+// writes half the buffer and reports the error; a torn-write fault
+// writes half and reports success (the page-cache tail a crash loses);
+// a bit-flip fault corrupts one bit and writes it all (the damage only
+// a checksum catches).
 func (s *Store) write(f *os.File, key, op string, b []byte) error {
-	switch fault := s.opts.Faults.Disk(op, s.opSeq(key, op)); {
+	switch fault := s.diskFault(key, op); {
 	case fault == nil:
 		_, err := f.Write(b)
 		return err
@@ -150,7 +151,7 @@ func (s *Store) write(f *os.File, key, op string, b []byte) error {
 
 // fsync flushes f through the fault plan.
 func (s *Store) fsync(f *os.File, key, op string) error {
-	if fault := s.opts.Faults.Disk(op, s.opSeq(key, op)); fault != nil && fault.Kind == faultinject.KindFsyncError {
+	if fault := s.diskFault(key, op); fault != nil && fault.Kind == faultinject.KindFsyncError {
 		return fault
 	}
 	return f.Sync()
@@ -167,25 +168,22 @@ func (s *Store) syncDir(key, dir string) error {
 	return s.fsync(d, key, "persist.dir.fsync")
 }
 
-// writeFileAtomic writes magic+content to path via a same-directory
-// temp file, fsync, rename, dir fsync — the atomic-replace idiom. op
-// prefixes the fault-injection point names ("<op>.write"/"<op>.fsync").
-func (s *Store) writeFileAtomic(key, op, path string, magic string, content []byte) error {
+// writeFileAtomic writes data to path via a same-directory temp file,
+// fsync, rename, dir fsync — the atomic-replace idiom. Its fault points
+// are persist.checkpoint.write, persist.checkpoint.fsync and
+// persist.dir.fsync.
+func (s *Store) writeFileAtomic(key, path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	buf.WriteString(magic)
-	buf.Write(content)
-	if err := s.write(f, key, op+".write", buf.Bytes()); err != nil {
+	if err := s.write(f, key, "persist.checkpoint.write", data); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
 	}
-	if err := s.fsync(f, key, op+".fsync"); err != nil {
+	if err := s.fsync(f, key, "persist.checkpoint.fsync"); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -199,16 +197,4 @@ func (s *Store) writeFileAtomic(key, op, path string, magic string, content []by
 		return err
 	}
 	return s.syncDir(key, filepath.Dir(path))
-}
-
-// readMagicFile reads a whole blob and strips its magic header.
-func readMagicFile(path, magic string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < magicLen || string(data[:magicLen]) != magic {
-		return nil, fmt.Errorf("persist: %s: bad magic", path)
-	}
-	return data[magicLen:], nil
 }

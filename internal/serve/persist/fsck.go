@@ -1,11 +1,11 @@
 // Offline validation and repair of a state directory. Fsck applies the
-// same trust rules as boot recovery — a program is only as good as its
-// checksummed checkpoint plus the valid prefix of its WAL — but instead
-// of rehydrating it reports and repairs: corrupt checkpoints are
-// quarantined, torn WAL tails truncated, leftover temp files removed.
-// Running fsck before a server start is never required (boot recovery
-// does all of this implicitly) but gives an operator a dry accounting
-// of what a crash cost.
+// same trust rule as boot recovery — a program is only as good as its
+// checksummed checkpoint — but instead of rehydrating it reports and
+// repairs: corrupt checkpoints are quarantined, leftover temp files
+// removed, and the WAL of a server that predates the single-file
+// format moved aside. Running fsck before a server start is never
+// required (boot recovery does all of this implicitly) but gives an
+// operator a dry accounting of what a crash cost.
 package persist
 
 import (
@@ -16,6 +16,14 @@ import (
 	"sort"
 )
 
+// leftovers are the un-renamed temp files a program directory may hold
+// besides its CHECKPOINT, including the WAL temp file of a server that
+// predates the single-file format. Boot ignores them; fsck removes
+// them. That server's WAL itself is not deleted: fsck moves it to
+// quarantine/<key>.WAL, where an operator rolling back to the older
+// server can still find the records it holds.
+var leftovers = []string{"CHECKPOINT.tmp", "WAL.tmp"}
+
 // FsckProgram is one program's verdict.
 type FsckProgram struct {
 	Key string `json:"key"`
@@ -23,11 +31,6 @@ type FsckProgram struct {
 	OK bool `json:"ok"`
 	// Err describes why a program was quarantined.
 	Err string `json:"err,omitempty"`
-	// Records is the count of valid WAL records beyond the checkpoint —
-	// what boot recovery would replay.
-	Records int `json:"records"`
-	// TruncatedBytes is how much torn/corrupt WAL tail was cut off.
-	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
 	// Submissions/Pairs/Seen summarize the durable state for reporting.
 	Submissions int `json:"submissions"`
 	Pairs       int `json:"pairs"`
@@ -40,13 +43,16 @@ type FsckReport struct {
 	Programs    []FsckProgram `json:"programs"`
 	OK          int           `json:"ok"`
 	Quarantined int           `json:"quarantined"`
-	RemovedTemp int           `json:"removed_temp"`
+	// Removed counts the leftover temp files deleted.
+	Removed int `json:"removed"`
+	// WALs counts the leftover WAL files moved to quarantine/.
+	WALs int `json:"wals_quarantined"`
 }
 
 // Fsck validates and repairs a state directory in place. It returns an
 // error only when the directory itself is unusable; per-program damage
-// is repaired (quarantine/truncate) and reported, exactly as boot
-// recovery would handle it.
+// is quarantined and reported, exactly as boot recovery would handle
+// it.
 func Fsck(dir string) (*FsckReport, error) {
 	rep := &FsckReport{Dir: dir}
 	progRoot := filepath.Join(dir, "programs")
@@ -65,61 +71,31 @@ func Fsck(dir string) (*FsckReport, error) {
 		key := e.Name()
 		pdir := filepath.Join(progRoot, key)
 		fp := FsckProgram{Key: key}
-		for _, tmp := range []string{"CHECKPOINT.tmp", "WAL.tmp"} {
-			if os.Remove(filepath.Join(pdir, tmp)) == nil {
-				rep.RemovedTemp++
+		for _, name := range leftovers {
+			if os.Remove(filepath.Join(pdir, name)) == nil {
+				rep.Removed++
 			}
 		}
-		ck, err := readCheckpointFile(filepath.Join(pdir, "CHECKPOINT"), key)
+		wal := filepath.Join(pdir, "WAL")
+		if _, err := os.Lstat(wal); err == nil {
+			if dst, err := s.quarantinePath(key + ".WAL"); err == nil && os.Rename(wal, dst) == nil {
+				rep.WALs++
+			}
+		}
+		_, ck, err := readCheckpoint(pdir, key)
 		if err != nil {
 			fp.Err = err.Error()
 			if qerr := s.Quarantine(key); qerr != nil {
 				os.RemoveAll(pdir)
 			}
 			rep.Quarantined++
-			rep.Programs = append(rep.Programs, fp)
-			continue
+		} else {
+			fp.OK = true
+			fp.Submissions = ck.Submissions
+			fp.Pairs = len(ck.State.Pairs)
+			fp.Seen = len(ck.State.Seen)
+			rep.OK++
 		}
-		fp.OK = true
-		fp.Submissions = ck.Submissions
-		fp.Pairs = len(ck.State.Pairs)
-		fp.Seen = len(ck.State.Seen)
-
-		walPath := filepath.Join(pdir, "WAL")
-		data, err := os.ReadFile(walPath)
-		if err != nil && !os.IsNotExist(err) {
-			// Boot recovery treats an unreadable WAL as an untrustworthy
-			// program and quarantines it; fsck applies the same rule
-			// rather than report the program ok with a buried error.
-			fp.OK = false
-			fp.Err = err.Error()
-			if qerr := s.Quarantine(key); qerr != nil {
-				os.RemoveAll(pdir)
-			}
-			rep.Quarantined++
-			rep.Programs = append(rep.Programs, fp)
-			continue
-		}
-		deltas, goodOff, _ := scanWAL(data, ck.Seq)
-		fp.Records = len(deltas)
-		if goodOff == 0 {
-			if len(data) > 0 {
-				fp.TruncatedBytes = int64(len(data)) - magicLen
-				if fp.TruncatedBytes < 0 {
-					fp.TruncatedBytes = int64(len(data))
-				}
-			}
-			os.WriteFile(walPath, []byte(walMagic), 0o644)
-		} else if goodOff < len(data) {
-			fp.TruncatedBytes = int64(len(data) - goodOff)
-			os.Truncate(walPath, int64(goodOff))
-		}
-		for _, d := range deltas {
-			if d.SubmissionsAfter > fp.Submissions {
-				fp.Submissions = d.SubmissionsAfter
-			}
-		}
-		rep.OK++
 		rep.Programs = append(rep.Programs, fp)
 	}
 	sort.Slice(rep.Programs, func(i, j int) bool { return rep.Programs[i].Key < rep.Programs[j].Key })
@@ -128,19 +104,15 @@ func Fsck(dir string) (*FsckReport, error) {
 
 // Write renders the report for terminal consumption.
 func (r *FsckReport) Write(w io.Writer) {
-	fmt.Fprintf(w, "fsck %s: %d program(s), %d ok, %d quarantined, %d temp file(s) removed\n",
-		r.Dir, len(r.Programs), r.OK, r.Quarantined, r.RemovedTemp)
+	fmt.Fprintf(w, "fsck %s: %d program(s), %d ok, %d quarantined, %d leftover file(s) removed, %d WAL(s) moved to quarantine\n",
+		r.Dir, len(r.Programs), r.OK, r.Quarantined, r.Removed, r.WALs)
 	for _, p := range r.Programs {
-		switch {
-		case !p.OK:
+		if !p.OK {
 			fmt.Fprintf(w, "  %s QUARANTINED: %s\n", short(p.Key), p.Err)
-		case p.TruncatedBytes > 0:
-			fmt.Fprintf(w, "  %s ok: %d submission(s), %d pair(s), %d wal record(s); truncated %dB torn tail\n",
-				short(p.Key), p.Submissions, p.Pairs, p.Records, p.TruncatedBytes)
-		default:
-			fmt.Fprintf(w, "  %s ok: %d submission(s), %d pair(s), %d wal record(s)\n",
-				short(p.Key), p.Submissions, p.Pairs, p.Records)
+			continue
 		}
+		fmt.Fprintf(w, "  %s ok: %d submission(s), %d pair(s), %d seen report(s)\n",
+			short(p.Key), p.Submissions, p.Pairs, p.Seen)
 	}
 }
 

@@ -22,20 +22,21 @@ func testCheckpoint(seq uint64, submissions int) Checkpoint {
 		Seq:         seq,
 		Submissions: submissions,
 		Reports:     []string{"r0"},
-		State:       sched.StateSnapshot{Seen: []string{"r0"}, Explorations: submissions},
+		State: sched.StateSnapshot{
+			Pairs:        []sched.StablePair{{FromFn: "f", FromIx: submissions, ToFn: "g", ToIx: 0}},
+			Seen:         []string{"r0"},
+			Explorations: submissions,
+		},
 	}
 }
 
-func testDelta(i int) Delta {
-	return Delta{
-		SubmissionsAfter: i,
-		Reports:          []string{"r" + strings.Repeat("x", i)},
-		State: &sched.StateDelta{
-			Pairs:        []sched.StablePair{{FromFn: "f", FromIx: i, ToFn: "g", ToIx: 0}},
-			Seen:         []string{"r" + strings.Repeat("x", i)},
-			Explorations: i,
-		},
+// write encodes ck and writes it as its key's checkpoint.
+func write(s *Store, ck Checkpoint) error {
+	blob, err := EncodeCheckpoint(ck)
+	if err != nil {
+		return err
 	}
+	return s.Write(ck.Key, blob)
 }
 
 func counterVal(c *metrics.Collector, name string) int64 {
@@ -47,184 +48,64 @@ func counterVal(c *metrics.Collector, name string) int64 {
 	return 0
 }
 
-// TestCheckpointWALRoundTrip: create, append, close, reopen — recovery
-// hands back the checkpoint and every appended delta in order, and the
-// sequence numbering continues where it left off.
-func TestCheckpointWALRoundTrip(t *testing.T) {
+// TestCheckpointRoundTrip: write, overwrite, reopen — recovery hands
+// back exactly the last checkpoint written, through both the boot path
+// (Open) and the lazy-rehydrate path (Load).
+func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, recovered, err := Open(dir, Options{})
+	mc := metrics.New()
+	s, recovered, err := Open(dir, Options{Metrics: mc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recovered) != 0 {
 		t.Fatalf("fresh dir recovered %d programs", len(recovered))
 	}
-	l, err := s.Create(testCheckpoint(0, 1))
-	if err != nil {
+	if err := write(s, testCheckpoint(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 2; i <= 4; i++ {
-		if err := l.Append(testDelta(i)); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
+	if err := write(s, testCheckpoint(3, 4)); err != nil {
+		t.Fatal(err)
 	}
-	if l.LastSeq() != 3 || l.Records() != 3 {
-		t.Fatalf("lastSeq=%d records=%d, want 3/3", l.LastSeq(), l.Records())
+	if got := counterVal(mc, "serve.persist_checkpoints"); got != 2 {
+		t.Errorf("persist_checkpoints = %d, want 2", got)
 	}
-	l.Close()
 
-	mc := metrics.New()
-	_, recovered, err = Open(dir, Options{Metrics: mc})
+	mc = metrics.New()
+	s, recovered, err = Open(dir, Options{Metrics: mc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recovered) != 1 {
 		t.Fatalf("recovered %d programs, want 1", len(recovered))
 	}
-	rec := recovered[0]
-	if rec.Checkpoint.Key != testKey || rec.Checkpoint.Submissions != 1 || rec.Checkpoint.ModuleFP != "deadbeef" {
-		t.Fatalf("checkpoint = %+v", rec.Checkpoint)
-	}
-	if len(rec.Deltas) != 3 {
-		t.Fatalf("deltas = %d, want 3", len(rec.Deltas))
-	}
-	for i, d := range rec.Deltas {
-		if d.SubmissionsAfter != i+2 || d.State == nil || d.State.Pairs[0].FromIx != i+2 {
-			t.Fatalf("delta %d = %+v", i, d)
-		}
-	}
-	if rec.Log.LastSeq() != 3 {
-		t.Fatalf("recovered lastSeq = %d, want 3", rec.Log.LastSeq())
+	ck := recovered[0]
+	if ck.Key != testKey || ck.Seq != 3 || ck.Submissions != 4 || ck.ModuleFP != "deadbeef" ||
+		ck.State.Pairs[0].FromIx != 4 {
+		t.Fatalf("checkpoint = %+v, want the second write", ck)
 	}
 	if got := counterVal(mc, "serve.persist_recovered"); got != 1 {
 		t.Errorf("persist_recovered = %d", got)
 	}
-	if got := counterVal(mc, "serve.persist_replayed"); got != 3 {
-		t.Errorf("persist_replayed = %d", got)
+	loaded, err := s.Load(testKey)
+	if err != nil || loaded == nil || loaded.Seq != 3 {
+		t.Fatalf("Load = %+v, %v", loaded, err)
 	}
-	rec.Log.Close()
+	if missing, err := s.Load(strings.Repeat("b", 64)); missing != nil || err != nil {
+		t.Fatalf("Load of an absent key = %+v, %v; want nil, nil", missing, err)
+	}
 }
 
-// TestCheckpointCoversWAL: records at or below the checkpoint's
-// sequence are not replayed; the WAL physically resets.
-func TestCheckpointCoversWAL(t *testing.T) {
-	dir := t.TempDir()
-	s, _, _ := Open(dir, Options{})
-	l, err := s.Create(testCheckpoint(0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Append(testDelta(2))
-	l.Append(testDelta(3))
-	if err := l.Checkpoint(testCheckpoint(l.LastSeq(), 3)); err != nil {
-		t.Fatal(err)
-	}
-	if l.Records() != 0 {
-		t.Fatalf("records after checkpoint = %d", l.Records())
-	}
-	if err := l.Append(testDelta(4)); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	_, recovered, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := recovered[0]
-	if rec.Checkpoint.Submissions != 3 || rec.Checkpoint.Seq != 2 {
-		t.Fatalf("checkpoint = %+v", rec.Checkpoint)
-	}
-	if len(rec.Deltas) != 1 || rec.Deltas[0].SubmissionsAfter != 4 {
-		t.Fatalf("deltas = %+v", rec.Deltas)
-	}
-	rec.Log.Close()
-}
-
-// TestTornWriteLosesOnlyTail: a torn append (the kill -9 page-cache
-// case — reported as success, half the bytes on disk) costs exactly
-// that record at recovery; the prefix survives and the log keeps
-// working afterwards.
-func TestTornWriteLosesOnlyTail(t *testing.T) {
-	dir := t.TempDir()
-	plan := &faultinject.Plan{Rules: []faultinject.Rule{
-		{Stage: "persist.wal.append", Run: 2, Kind: faultinject.KindTornWrite},
-	}}
-	s, _, _ := Open(dir, Options{Faults: plan})
-	l, err := s.Create(testCheckpoint(0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 2; i <= 4; i++ { // third append (run seq 2) tears silently
-		if err := l.Append(testDelta(i)); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-	}
-	l.Close()
-
-	mc := metrics.New()
-	_, recovered, err := Open(dir, Options{Metrics: mc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := recovered[0]
-	if len(rec.Deltas) != 2 {
-		t.Fatalf("deltas = %d, want 2 (torn third lost)", len(rec.Deltas))
-	}
-	if got := counterVal(mc, "serve.persist_truncated_tails"); got != 1 {
-		t.Errorf("truncated_tails = %d", got)
-	}
-	// The torn tail was physically truncated; new appends land cleanly.
-	if rec.Log.LastSeq() != 2 {
-		t.Fatalf("lastSeq after tear = %d, want 2", rec.Log.LastSeq())
-	}
-	if err := rec.Log.Append(testDelta(4)); err != nil {
-		t.Fatal(err)
-	}
-	rec.Log.Close()
-	_, recovered, _ = Open(dir, Options{})
-	if len(recovered[0].Deltas) != 3 {
-		t.Fatalf("after repair deltas = %d, want 3", len(recovered[0].Deltas))
-	}
-	recovered[0].Log.Close()
-}
-
-// TestBitFlipDetected: a flipped bit in a WAL record fails its CRC and
-// costs the tail; a flipped bit in a checkpoint quarantines the program
-// instead of serving silently-wrong coverage.
+// TestBitFlipDetected: a flipped bit in a checkpoint quarantines the
+// program instead of serving silently-wrong coverage.
 func TestBitFlipDetected(t *testing.T) {
-	t.Run("wal", func(t *testing.T) {
-		dir := t.TempDir()
-		plan := &faultinject.Plan{Rules: []faultinject.Rule{
-			{Stage: "persist.wal.append", Run: 1, Kind: faultinject.KindBitFlip, Bit: 77},
-		}}
-		s, _, _ := Open(dir, Options{Faults: plan})
-		l, _ := s.Create(testCheckpoint(0, 1))
-		l.Append(testDelta(2))
-		l.Append(testDelta(3)) // flipped on disk
-		l.Append(testDelta(4)) // unreadable: after the corrupt frame
-		l.Close()
-
-		mc := metrics.New()
-		_, recovered, err := Open(dir, Options{Metrics: mc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recovered[0].Deltas) != 1 {
-			t.Fatalf("deltas = %d, want 1 (flip kills record 2 and strands record 3)", len(recovered[0].Deltas))
-		}
-		if counterVal(mc, "serve.persist_truncated_tails") != 1 {
-			t.Error("flip not counted as truncated tail")
-		}
-		recovered[0].Log.Close()
-	})
 	t.Run("checkpoint", func(t *testing.T) {
 		dir := t.TempDir()
 		plan := &faultinject.Plan{Rules: []faultinject.Rule{
 			{Stage: "persist.checkpoint.write", Run: -1, Kind: faultinject.KindBitFlip, Bit: 300},
 		}}
 		s, _, _ := Open(dir, Options{Faults: plan})
-		if _, err := s.Create(testCheckpoint(0, 1)); err != nil {
+		if err := write(s, testCheckpoint(0, 1)); err != nil {
 			t.Fatal(err)
 		}
 		mc := metrics.New()
@@ -233,7 +114,7 @@ func TestBitFlipDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(recovered) != 0 {
-			t.Fatalf("corrupt checkpoint recovered: %+v", recovered[0].Checkpoint)
+			t.Fatalf("corrupt checkpoint recovered: %+v", recovered[0])
 		}
 		if counterVal(mc, "serve.persist_quarantined") != 1 {
 			t.Error("corrupt checkpoint not counted")
@@ -247,134 +128,126 @@ func TestBitFlipDetected(t *testing.T) {
 	})
 }
 
-// TestShortWriteAndFsyncErrorFailAppend: faults that report errors make
-// Append fail cleanly — the WAL is truncated back, the next append
-// succeeds, and recovery never sees a partial frame.
-func TestShortWriteAndFsyncErrorFailAppend(t *testing.T) {
-	for _, kind := range []faultinject.Kind{faultinject.KindShortWrite, faultinject.KindFsyncError} {
-		t.Run(string(kind), func(t *testing.T) {
-			stage := "persist.wal.append"
-			if kind == faultinject.KindFsyncError {
-				stage = "persist.wal.fsync"
-			}
+// TestTornCheckpointQuarantined: a torn checkpoint write (the kill -9
+// page-cache case — reported as success, half the bytes on disk) fails
+// validation at the next boot and is quarantined, never half-loaded.
+func TestTornCheckpointQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	plan := &faultinject.Plan{Rules: []faultinject.Rule{
+		{Stage: "persist.checkpoint.write", Run: 1, Kind: faultinject.KindTornWrite},
+	}}
+	s, _, _ := Open(dir, Options{Faults: plan})
+	for i := 1; i <= 2; i++ { // the second write (run seq 1) tears silently
+		if err := write(s, testCheckpoint(uint64(i), i)); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	mc := metrics.New()
+	_, recovered, err := Open(dir, Options{Metrics: mc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 0 || counterVal(mc, "serve.persist_quarantined") != 1 {
+		t.Fatalf("torn checkpoint: recovered %d, quarantined %d; want 0, 1",
+			len(recovered), counterVal(mc, "serve.persist_quarantined"))
+	}
+}
+
+// TestFailedCheckpointKeepsPrevious: faults that report errors make
+// Write fail cleanly — the previous checkpoint stays in place, no temp
+// file is left behind, and the next write carries the full state
+// again. A failed first write leaves no program directory at all.
+func TestFailedCheckpointKeepsPrevious(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		stage string
+		kind  faultinject.Kind
+		// landed: the fault strikes after the rename, so the new
+		// checkpoint is in place although Write reports the error.
+		landed bool
+	}{
+		{"short-write", "persist.checkpoint.write", faultinject.KindShortWrite, false},
+		{"fsync-error", "persist.checkpoint.fsync", faultinject.KindFsyncError, false},
+		{"dir-fsync-error", "persist.dir.fsync", faultinject.KindFsyncError, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			plan := &faultinject.Plan{Rules: []faultinject.Rule{{Stage: stage, Run: 1, Kind: kind}}}
+			plan := &faultinject.Plan{Rules: []faultinject.Rule{{Stage: tc.stage, Run: 1, Kind: tc.kind}}}
 			s, _, _ := Open(dir, Options{Faults: plan})
-			l, _ := s.Create(testCheckpoint(0, 1))
-			if err := l.Append(testDelta(2)); err != nil {
+			if err := write(s, testCheckpoint(1, 1)); err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Append(testDelta(3)); err == nil {
-				t.Fatal("faulted append reported success")
+			if err := write(s, testCheckpoint(2, 2)); err == nil {
+				t.Fatal("faulted write reported success")
 			}
-			if err := l.Append(testDelta(4)); err != nil {
-				t.Fatalf("append after recovery: %v", err)
+			if _, err := os.Stat(filepath.Join(dir, "programs", testKey, "CHECKPOINT.tmp")); !os.IsNotExist(err) {
+				t.Error("failed write left its temp file behind")
 			}
-			l.Close()
+			want := uint64(1)
+			if tc.landed {
+				want = 2
+			}
+			if ck, err := s.Load(testKey); err != nil || ck == nil || ck.Seq != want {
+				t.Fatalf("after the failed write Load = %+v, %v; want seq %d", ck, err, want)
+			}
+			if err := write(s, testCheckpoint(3, 3)); err != nil {
+				t.Fatalf("write after the fault: %v", err)
+			}
 			_, recovered, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := recovered[0]
-			if len(rec.Deltas) != 2 || rec.Deltas[0].SubmissionsAfter != 2 || rec.Deltas[1].SubmissionsAfter != 4 {
-				t.Fatalf("deltas = %+v", rec.Deltas)
+			if len(recovered) != 1 || recovered[0].Seq != 3 {
+				t.Fatalf("recovered = %+v, want the third write", recovered)
 			}
-			rec.Log.Close()
+
+			other := testCheckpoint(0, 0)
+			other.Key = strings.Repeat("b", 64)
+			first := &faultinject.Plan{Rules: []faultinject.Rule{{Stage: tc.stage, Run: 0, Kind: tc.kind}}}
+			s, _, _ = Open(dir, Options{Faults: first})
+			if err := write(s, other); err == nil {
+				t.Fatal("faulted first write reported success")
+			}
+			_, err = os.Stat(s.programDir(other.Key))
+			if tc.landed != (err == nil) {
+				t.Errorf("failed first write: program dir present = %v, want %v", err == nil, tc.landed)
+			}
 		})
 	}
 }
 
-// TestCheckpointCrashBeforeWALReset: the classic double-apply window. A
-// checkpoint lands but the WAL reset fails; the stale records stay in
-// the log and recovery must skip them via the sequence guard.
-func TestCheckpointCrashBeforeWALReset(t *testing.T) {
-	dir := t.TempDir()
-	plan := &faultinject.Plan{Rules: []faultinject.Rule{
-		{Stage: "persist.wal.reset.write", Run: 1, Kind: faultinject.KindShortWrite},
-	}}
-	s, _, _ := Open(dir, Options{Faults: plan})
-	l, _ := s.Create(testCheckpoint(0, 1)) // reset run 0: creation
-	l.Append(testDelta(2))
-	l.Append(testDelta(3))
-	if err := l.Checkpoint(testCheckpoint(l.LastSeq(), 3)); err == nil {
-		t.Fatal("checkpoint with failed WAL reset reported full success")
-	}
-	// The log stays usable: the next append lands in the OLD WAL with a
-	// fresh sequence number.
-	if err := l.Append(testDelta(4)); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	_, recovered, err := Open(dir, Options{})
+// TestNoPlanNoFaultCounters: the per-(program, op) fault sequence is
+// counted only when a fault plan is set, so a fault-free store does not
+// grow an entry for every program it ever wrote.
+func TestNoPlanNoFaultCounters(t *testing.T) {
+	s, _, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := recovered[0]
-	if rec.Checkpoint.Submissions != 3 {
-		t.Fatalf("checkpoint = %+v, want the new one", rec.Checkpoint)
+	for i := 0; i < 20; i++ {
+		ck := testCheckpoint(0, 1)
+		ck.Key = strings.Repeat(string(rune('a'+i)), 64)
+		if err := write(s, ck); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(rec.Deltas) != 1 || rec.Deltas[0].SubmissionsAfter != 4 {
-		t.Fatalf("deltas = %+v, want only the post-checkpoint record", rec.Deltas)
+	if n := len(s.seq); n != 0 {
+		t.Fatalf("fault-free store holds %d fault-sequence entries, want 0", n)
 	}
-	rec.Log.Close()
 }
 
-// TestGarbageTailTruncated: raw garbage appended after a kill is cut
-// off at recovery without losing the good prefix.
-func TestGarbageTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	s, _, _ := Open(dir, Options{})
-	l, _ := s.Create(testCheckpoint(0, 1))
-	l.Append(testDelta(2))
-	l.Close()
-	walPath := filepath.Join(dir, "programs", testKey, "WAL")
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0xff, 0x13, 0x37, 0x00, 0x42})
-	f.Close()
-
-	_, recovered, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := recovered[0]
-	if len(rec.Deltas) != 1 {
-		t.Fatalf("deltas = %d, want 1", len(rec.Deltas))
-	}
-	if err := rec.Log.Append(testDelta(3)); err != nil {
-		t.Fatal(err)
-	}
-	rec.Log.Close()
-	_, recovered, _ = Open(dir, Options{})
-	if len(recovered[0].Deltas) != 2 {
-		t.Fatalf("post-repair deltas = %d, want 2", len(recovered[0].Deltas))
-	}
-	recovered[0].Log.Close()
-}
-
-// TestFsck: a state dir with one healthy program, one torn WAL, one
-// corrupt checkpoint, and temp leftovers fscks to the right accounting,
-// and a subsequent Open recovers cleanly.
+// TestFsck: a state dir with one healthy program carrying leftover
+// files and one corrupt checkpoint fscks to the right accounting, and
+// a subsequent Open recovers cleanly.
 func TestFsck(t *testing.T) {
 	dir := t.TempDir()
 	s, _, _ := Open(dir, Options{})
-	l, _ := s.Create(testCheckpoint(0, 1))
-	l.Append(testDelta(2))
-	l.Close()
-
-	tornKey := strings.Repeat("b", 64)
-	ck := testCheckpoint(0, 1)
-	ck.Key = tornKey
-	l2, _ := s.Create(ck)
-	l2.Append(testDelta(2))
-	l2.Close()
-	tornWAL := filepath.Join(dir, "programs", tornKey, "WAL")
-	f, _ := os.OpenFile(tornWAL, os.O_WRONLY|os.O_APPEND, 0o644)
-	f.Write([]byte("torn"))
-	f.Close()
+	if err := write(s, testCheckpoint(0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	goodDir := filepath.Join(dir, "programs", testKey)
+	os.WriteFile(filepath.Join(goodDir, "WAL"), []byte("OWLWAL01"), 0o644)
+	os.WriteFile(filepath.Join(goodDir, "WAL.tmp"), []byte("leftover"), 0o644)
 
 	badKey := strings.Repeat("c", 64)
 	badDir := filepath.Join(dir, "programs", badKey)
@@ -386,24 +259,27 @@ func TestFsck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Programs) != 3 || rep.OK != 2 || rep.Quarantined != 1 || rep.RemovedTemp != 1 {
+	if len(rep.Programs) != 2 || rep.OK != 1 || rep.Quarantined != 1 || rep.Removed != 2 || rep.WALs != 1 {
 		t.Fatalf("report = %+v", rep)
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, "quarantine", testKey+".WAL")); err != nil || string(data) != "OWLWAL01" {
+		t.Errorf("leftover WAL not moved to quarantine: %q, %v", data, err)
 	}
 	for _, p := range rep.Programs {
 		switch p.Key {
 		case testKey:
-			if !p.OK || p.Records != 1 || p.Submissions != 2 {
+			if !p.OK || p.Submissions != 2 || p.Pairs != 1 || p.Seen != 1 {
 				t.Errorf("healthy program verdict = %+v", p)
-			}
-		case tornKey:
-			if !p.OK || p.TruncatedBytes != 4 {
-				t.Errorf("torn program verdict = %+v", p)
 			}
 		case badKey:
 			if p.OK || p.Err == "" {
 				t.Errorf("corrupt program verdict = %+v", p)
 			}
 		}
+	}
+	entries, _ := os.ReadDir(goodDir)
+	if len(entries) != 1 || entries[0].Name() != "CHECKPOINT" {
+		t.Errorf("healthy program dir after fsck holds %v, want only CHECKPOINT", entries)
 	}
 
 	// After fsck the directory opens without further repair.
@@ -412,94 +288,43 @@ func TestFsck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recovered) != 2 {
-		t.Fatalf("post-fsck recovery = %d programs, want 2", len(recovered))
-	}
-	if counterVal(mc, "serve.persist_truncated_tails") != 0 {
-		t.Error("fsck left a torn tail behind")
-	}
-	for _, r := range recovered {
-		r.Log.Close()
-	}
-}
-
-// TestBrokenLogRecoversAfterCheckpoint: a log marked broken (failed
-// truncate-back after a failed append) refuses appends only until a
-// successful checkpoint swings in a fresh WAL — not for the rest of the
-// process lifetime.
-func TestBrokenLogRecoversAfterCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	s, _, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := s.Create(testCheckpoint(0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.mu.Lock()
-	l.broken = true
-	l.mu.Unlock()
-	if err := l.Append(testDelta(2)); err == nil {
-		t.Fatal("append on a broken log succeeded")
-	}
-	if err := l.Checkpoint(testCheckpoint(l.LastSeq(), 2)); err != nil {
-		t.Fatalf("checkpoint on a broken log: %v", err)
-	}
-	if err := l.Append(testDelta(3)); err != nil {
-		t.Fatalf("append still refused after the WAL was replaced: %v", err)
-	}
-	l.Close()
-
-	_, recovered, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recovered) != 1 || len(recovered[0].Deltas) != 1 || recovered[0].Deltas[0].SubmissionsAfter != 3 {
-		t.Fatalf("recovered = %+v, want the one post-recovery delta", recovered)
-	}
-	recovered[0].Log.Close()
-}
-
-// TestFsckUnreadableWALQuarantines: a WAL that exists but cannot be
-// read is an untrustworthy program — fsck must quarantine it (as boot
-// recovery would), not report it ok with a buried error.
-func TestFsckUnreadableWALQuarantines(t *testing.T) {
-	dir := t.TempDir()
-	s, _, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := s.Create(testCheckpoint(0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	// A directory where the WAL file should be makes ReadFile fail with
-	// an error that is not NotExist, regardless of the test's privileges.
-	walPath := filepath.Join(dir, "programs", testKey, "WAL")
-	os.Remove(walPath)
-	if err := os.Mkdir(walPath, 0o755); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := Fsck(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK != 0 || rep.Quarantined != 1 || len(rep.Programs) != 1 {
-		t.Fatalf("report = %+v, want the program quarantined", rep)
-	}
-	p := rep.Programs[0]
-	if p.OK || p.Err == "" {
-		t.Fatalf("verdict = %+v, want not-OK with the read error", p)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "programs", testKey)); !os.IsNotExist(err) {
-		t.Error("quarantined program still present under programs/")
+	if len(recovered) != 1 || counterVal(mc, "serve.persist_quarantined") != 0 {
+		t.Fatalf("post-fsck recovery = %d programs, %d quarantined; want 1, 0",
+			len(recovered), counterVal(mc, "serve.persist_quarantined"))
 	}
 }
 
 // TestFsckEmptyDir: fsck of a nonexistent or empty dir is clean.
+// TestLeftoverWALCounted: boot ignores a WAL left by a server that
+// predates the single-file format, but counts one that still holds
+// records, since those jobs are not replayed. A WAL holding only its
+// header lost nothing and is not counted.
+func TestLeftoverWALCounted(t *testing.T) {
+	dir := t.TempDir()
+	s, _, _ := Open(dir, Options{})
+	other := testCheckpoint(0, 1)
+	other.Key = strings.Repeat("d", 64)
+	for _, ck := range []Checkpoint{testCheckpoint(0, 1), other} {
+		if err := write(s, ck); err != nil {
+			t.Fatal(err)
+		}
+	}
+	os.WriteFile(filepath.Join(dir, "programs", testKey, "WAL"), []byte("OWLWAL01 and a record"), 0o644)
+	os.WriteFile(filepath.Join(dir, "programs", other.Key, "WAL"), []byte("OWLWAL01"), 0o644)
+
+	mc := metrics.New()
+	_, recovered, err := Open(dir, Options{Metrics: mc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 2 || counterVal(mc, "serve.persist_quarantined") != 0 {
+		t.Fatalf("recovered %d programs, %d quarantined; want 2, 0", len(recovered), counterVal(mc, "serve.persist_quarantined"))
+	}
+	if got := counterVal(mc, "serve.persist_wal_ignored"); got != 1 {
+		t.Errorf("serve.persist_wal_ignored = %d, want 1", got)
+	}
+}
+
 func TestFsckEmptyDir(t *testing.T) {
 	rep, err := Fsck(filepath.Join(t.TempDir(), "never-created"))
 	if err != nil {

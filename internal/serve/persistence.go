@@ -1,8 +1,9 @@
 // Durability glue between the serve store and internal/serve/persist.
 // The persist package stores checksummed bytes; this file decides what
 // those bytes mean: how a programState folds down into a checkpoint,
-// how each finished job becomes one WAL delta, and how a recovered blob
-// is re-bound against a freshly resolved module at boot.
+// when a state change writes one, and how a checkpoint is re-bound
+// against a freshly resolved module at boot, on lazy rehydrate, and on
+// peer import.
 //
 // The cardinal rule is refuse-to-guess: a persisted state rehydrates
 // only if the re-resolved program has the same content key AND the same
@@ -46,15 +47,15 @@ func specFromSource(src persist.ProgramSource) Spec {
 	}
 }
 
-// buildProgramState turns one recovered checkpoint+WAL into a live
-// programState bound to prog's module. The caller has already verified
-// the content key; this verifies the module fingerprint and replays the
-// state under the refuse-to-guess contract.
-func buildProgramState(rec *persist.Recovered, name string, prog owl.Program, snapEntries int) (*programState, error) {
-	ck := rec.Checkpoint
+// fromCheckpoint builds a live programState bound to prog's module from
+// a checkpoint — the one constructor behind boot recovery, lazy
+// rehydrate after eviction, and peer import. The caller has already
+// verified the content key; this verifies the module fingerprint and
+// loads the state under the refuse-to-guess contract.
+func fromCheckpoint(ck *persist.Checkpoint, name string, prog owl.Program, snapEntries int) (*programState, error) {
 	fp := prog.Module.Fingerprint()
 	if ck.ModuleFP != fp {
-		return nil, fmt.Errorf("module fingerprint %.12s does not match persisted %.12s", fp, ck.ModuleFP)
+		return nil, fmt.Errorf("module fingerprint %.12s does not match checkpoint %.12s", fp, ck.ModuleFP)
 	}
 	state := sched.NewExploreState(snapEntries)
 	if err := state.Import(prog.Module, ck.State); err != nil {
@@ -69,7 +70,7 @@ func buildProgramState(rec *persist.Recovered, name string, prog owl.Program, sn
 		submissions: ck.Submissions,
 		source:      ck.Source,
 		fp:          fp,
-		log:         rec.Log,
+		seq:         ck.Seq,
 	}
 	for _, id := range ck.Reports {
 		if !ps.reports[id] {
@@ -77,41 +78,25 @@ func buildProgramState(rec *persist.Recovered, name string, prog owl.Program, sn
 			ps.order = append(ps.order, id)
 		}
 	}
-	for _, d := range rec.Deltas {
-		if err := state.ApplyDelta(prog.Module, d.State); err != nil {
-			return nil, err
-		}
-		for _, id := range d.Reports {
-			if !ps.reports[id] {
-				ps.reports[id] = true
-				ps.order = append(ps.order, id)
-			}
-		}
-		if d.SubmissionsAfter > ps.submissions {
-			ps.submissions = d.SubmissionsAfter
-		}
-	}
-	state.SetJournal(true)
 	return ps, nil
 }
 
-// rehydrateAll loads every program Open recovered into the store —
+// rehydrateAll loads every checkpoint Open recovered into the store —
 // the boot half of crash recovery. Per-program failures discard that
 // program (quarantine + serve.persist_discarded) and never fail boot.
-func (s *Server) rehydrateAll(recovered []*persist.Recovered) {
-	for _, rec := range recovered {
-		key := rec.Checkpoint.Key
-		prog, name, rkey, err := resolve(specFromSource(rec.Checkpoint.Source))
-		if err == nil && rkey != key {
-			err = fmt.Errorf("persisted source re-resolves to key %.12s, not %.12s", rkey, key)
+func (s *Server) rehydrateAll(recovered []persist.Checkpoint) {
+	for i := range recovered {
+		ck := &recovered[i]
+		prog, name, rkey, err := resolve(specFromSource(ck.Source))
+		if err == nil && rkey != ck.Key {
+			err = fmt.Errorf("persisted source re-resolves to key %.12s, not %.12s", rkey, ck.Key)
 		}
 		var ps *programState
 		if err == nil {
-			ps, err = buildProgramState(rec, name, prog, s.cfg.SnapEntries)
+			ps, err = fromCheckpoint(ck, name, prog, s.cfg.SnapEntries)
 		}
 		if err != nil {
-			rec.Log.Close()
-			s.store.discard(key)
+			s.store.discard(ck.Key)
 			continue
 		}
 		s.store.insert(ps)
@@ -119,98 +104,73 @@ func (s *Server) rehydrateAll(recovered []*persist.Recovered) {
 	}
 }
 
-// composeCheckpoint snapshots a program's full durable state. The
-// caller holds ps.pmu, so no job is between absorb and append and the
-// snapshot is one consistent version. For a memory-only program (no
-// log) the sequence number falls back to the exploration count — still
-// monotonic with the program's progress, which is all the replica
-// exchange's staleness check needs.
+// composeCheckpoint snapshots a program's full state at its current
+// version. The caller holds ps.pmu (or ps is not yet shared), so no
+// state change is between its absorb and its version bump and the
+// snapshot is one consistent version.
 func composeCheckpoint(ps *programState) persist.Checkpoint {
 	ps.mu.Lock()
 	reports := append([]string(nil), ps.order...)
 	subs := ps.submissions
 	ps.mu.Unlock()
-	seq := uint64(ps.state.Explorations())
-	if ps.log != nil {
-		seq = ps.log.LastSeq()
-	}
 	return persist.Checkpoint{
 		Key:         ps.key,
 		Name:        ps.name,
 		Source:      ps.source,
 		ModuleFP:    ps.fp,
-		Seq:         seq,
+		Seq:         ps.seq,
 		Submissions: subs,
 		Reports:     reports,
 		State:       ps.state.Export(),
 	}
 }
 
-// persistJob makes one finished job durable: drain the state journal,
-// append one WAL record, and fold the log into a fresh checkpoint every
-// CheckpointEvery records. A failed append falls back to attempting a
-// full checkpoint (regaining durability through the other path); if
-// both fail the loss is counted and the server keeps serving from
-// memory.
-func (s *Server) persistJob(ps *programState, freshIDs []string, submissions int) {
-	if ps.log == nil {
+// save encodes ps's current version once and hands the same bytes to
+// the durable store, when persistence is on, and to the replicator,
+// when offer is set and replication is on. A failed write is counted
+// in serve.persist_errors and otherwise ignored: the previous
+// checkpoint stays in place, the next state change writes the full
+// state again, and until one does ps is marked unsaved so eviction
+// keeps it in memory. The caller holds ps.pmu, or ps is not yet shared.
+func (s *store) save(ps *programState, offer bool) {
+	offer = offer && s.rep != nil
+	if s.pstore == nil && !offer {
 		return
 	}
-	ps.pmu.Lock()
-	defer ps.pmu.Unlock()
-	delta := persist.Delta{
-		SubmissionsAfter: submissions,
-		Reports:          freshIDs,
-		State:            ps.state.TakeDelta(),
-	}
-	if err := ps.log.Append(delta); err != nil {
-		s.mc.Count("serve.persist_errors", 1)
-		if cerr := s.checkpointLocked(ps); cerr != nil {
+	blob, err := persist.EncodeCheckpoint(composeCheckpoint(ps))
+	if s.pstore != nil {
+		if err == nil {
+			err = s.pstore.Write(ps.key, blob)
+		}
+		ps.unsaved.Store(err != nil)
+		if err != nil {
 			s.mc.Count("serve.persist_errors", 1)
 		}
-		return
 	}
-	if ps.log.Records() >= s.cfg.CheckpointEvery {
-		if err := s.checkpointLocked(ps); err != nil {
-			s.mc.Count("serve.persist_errors", 1)
-		} else {
-			// Anti-entropy rides the fold cadence: the state just became
-			// one durable version, push that same version to the fleet.
-			s.offerState(ps)
-		}
+	if offer && blob != nil {
+		s.rep.Offer(ps.key, blob)
 	}
 }
 
-// checkpointLocked writes a fresh checkpoint for ps. Caller holds
-// ps.pmu.
-func (s *Server) checkpointLocked(ps *programState) error {
-	return ps.log.Checkpoint(composeCheckpoint(ps))
-}
-
-// checkpointProgram is the externally-safe form: it serializes against
-// the per-job persistence path via pmu.
-func (s *Server) checkpointProgram(ps *programState) error {
-	if ps.log == nil {
-		return nil
-	}
+// persistJob records one finished job: it bumps the program's version
+// and saves it — the full checkpoint when the store is durable, and
+// the same bytes offered to the fleet for anti-entropy (Offer is async
+// and latest-wins, so a busy program collapses to one queued blob).
+func (s *Server) persistJob(ps *programState) {
 	ps.pmu.Lock()
 	defer ps.pmu.Unlock()
-	return s.checkpointLocked(ps)
+	ps.seq++
+	s.store.save(ps, true)
 }
 
-// persistAll checkpoints every program that has a log — the drain-time
-// flush — and closes the logs when shutting down for good.
-func (s *Server) persistAll(closeLogs bool) {
+// persistAll saves every live program at drain: it rewrites each
+// checkpoint, which also retries any program whose last write failed,
+// and offers every warm program to the fleet one final time.
+func (s *Server) persistAll() {
 	for _, ps := range s.store.all() {
-		if ps.log == nil {
-			continue
-		}
-		if err := s.checkpointProgram(ps); err != nil {
-			s.mc.Count("serve.persist_errors", 1)
-		}
-		if closeLogs {
-			ps.log.Close()
-		}
+		ps.pmu.Lock()
+		s.store.save(ps, ps.state.Warm())
+		ps.pmu.Unlock()
 	}
 }
 

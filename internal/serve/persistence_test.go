@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -105,7 +107,8 @@ func TestRestartResumeParity(t *testing.T) {
 
 // TestKillWithoutDrainRecovers: the first server is abandoned without
 // Shutdown — no drain-time checkpoint — so the reboot must reconstruct
-// the state purely from the initial checkpoint plus WAL replay.
+// the state purely from the checkpoint the job wrote before it
+// published "done".
 func TestKillWithoutDrainRecovers(t *testing.T) {
 	dir := t.TempDir()
 	spec := inlineSpec()
@@ -114,85 +117,157 @@ func TestKillWithoutDrainRecovers(t *testing.T) {
 	if first.RawReports == 0 {
 		t.Fatal("inline program produced no reports; the round trip tests nothing")
 	}
+	live := s1.Programs()
 	// Simulated kill -9: s1 is abandoned, its shard goroutines parked.
 
 	s2 := mustNew(t, Config{Shards: 1, StateDir: dir})
 	defer s2.Shutdown(context.Background())
-	if got := counterOf(s2.mc, "serve.persist_replayed"); got != 1 {
-		t.Errorf("serve.persist_replayed = %d, want 1 WAL record", got)
+	if got := counterOf(s2.mc, "serve.persist_recovered"); got != 1 {
+		t.Errorf("serve.persist_recovered = %d, want 1", got)
+	}
+	if got := s2.Programs(); !reflect.DeepEqual(got, live) {
+		t.Errorf("rebooted store diverged from the killed one:\n rebooted %+v\n killed   %+v", got, live)
 	}
 	st := waitJob(t, mustSubmit(t, s2, spec))
 	if !st.Resume {
-		t.Error("resubmission after kill did not resume from the WAL")
+		t.Error("resubmission after kill did not resume from the checkpoint")
 	}
 	if st.Result.Submissions != 2 || st.Result.NewReports != 0 || st.Result.StoreReports != first.StoreReports {
 		t.Errorf("post-kill accounting = %+v (first %+v)", st.Result, first)
 	}
 }
 
-// TestDiskFaultMatrix proves the recovery invariant under every
-// injected fault kind: whatever the plan did to the writing server's
-// disk, the next boot either recovers the durable prefix or quarantines
-// — it never fails, and a resubmission always completes.
+// TestDiskFaultMatrix proves the crash contract under every injected
+// fault on the checkpoint path: a faulted write never fails the job,
+// it is counted, the previous checkpoint stays in place, and the next
+// boot either recovers the last good checkpoint or quarantines — it
+// never fails, and a resubmission always completes. Fault runs count
+// per program and operation: a fresh program writes nothing, so run 0
+// is job 1's checkpoint.
 func TestDiskFaultMatrix(t *testing.T) {
 	cases := []struct {
 		name  string
 		rules []faultinject.Rule
-		// wantResume: does the resubmission on the rebooted server resume?
+		// heal runs a second, fault-free job before the crash.
+		heal bool
+		// evict, with heal, runs another program between the two jobs
+		// on a server bounded to one program in memory.
+		evict bool
+		// wantErrors: the writing server must count serve.persist_errors.
+		wantErrors bool
+		// wantResume/wantSubs describe the resubmission on the rebooted
+		// server: does it resume, and which submission number is it?
 		wantResume bool
+		wantSubs   int
 		// counter the rebooted server must have raised (beyond recovered).
 		wantCounter string
 	}{
 		{
-			// The WAL record for job 1 tears (kill -9 mid page flush):
-			// recovery truncates it and the state falls back to the cold
-			// initial checkpoint.
-			name:        "torn-wal-record",
-			rules:       []faultinject.Rule{{Stage: "persist.wal.append", Run: 0, Kind: faultinject.KindTornWrite}},
-			wantResume:  false,
-			wantCounter: "serve.persist_truncated_tails",
-		},
-		{
-			// Every checkpoint write is bit-flipped, so even the initial
-			// checkpoint is corrupt: boot must quarantine the program.
-			name:        "bitflip-checkpoint",
-			rules:       []faultinject.Rule{{Stage: "persist.checkpoint.write", Run: -1, Kind: faultinject.KindBitFlip, Bit: 200}},
-			wantResume:  false,
-			wantCounter: "serve.persist_quarantined",
-		},
-		{
-			// The WAL append errors out, but the fallback checkpoint
-			// regains durability: the reboot resumes warm.
-			name:       "short-wal-append",
-			rules:      []faultinject.Rule{{Stage: "persist.wal.append", Run: 0, Kind: faultinject.KindShortWrite}},
-			wantResume: true,
+			// Job 1's checkpoint write errors out: the job still
+			// completes, no checkpoint exists, and the reboot starts
+			// cold.
+			name:       "short-checkpoint-write",
+			rules:      []faultinject.Rule{{Stage: "persist.checkpoint.write", Run: 0, Kind: faultinject.KindShortWrite}},
+			wantErrors: true,
+			wantSubs:   1,
 		},
 		{
 			// Same via the fsync path.
-			name:       "wal-fsync-error",
-			rules:      []faultinject.Rule{{Stage: "persist.wal.fsync", Run: 0, Kind: faultinject.KindFsyncError}},
-			wantResume: true,
+			name:       "checkpoint-fsync-error",
+			rules:      []faultinject.Rule{{Stage: "persist.checkpoint.fsync", Run: 0, Kind: faultinject.KindFsyncError}},
+			wantErrors: true,
+			wantSubs:   1,
 		},
 		{
-			// Both paths fail persistently: the server keeps serving from
-			// memory, nothing usable lands on disk, and the reboot starts
-			// cold — but starts.
-			name: "everything-fails",
-			rules: []faultinject.Rule{
-				{Stage: "persist.wal.append", Run: -1, Kind: faultinject.KindShortWrite},
-				{Stage: "persist.checkpoint.write", Run: -1, Kind: faultinject.KindShortWrite},
-			},
-			wantResume: false,
+			// The directory fsync fails after the rename: the error is
+			// counted, but the new checkpoint is already in place and
+			// the reboot resumes from it.
+			name:       "dir-fsync-error",
+			rules:      []faultinject.Rule{{Stage: "persist.dir.fsync", Run: 0, Kind: faultinject.KindFsyncError}},
+			wantErrors: true,
+			wantResume: true,
+			wantSubs:   2,
+		},
+		{
+			// Job 1's write fails, job 2's succeeds: the full-state
+			// checkpoint heals the gap, and the reboot resumes with
+			// both jobs' state.
+			name:       "fault-then-heal",
+			rules:      []faultinject.Rule{{Stage: "persist.checkpoint.write", Run: 0, Kind: faultinject.KindShortWrite}},
+			heal:       true,
+			wantErrors: true,
+			wantResume: true,
+			wantSubs:   3,
+		},
+		{
+			// Job 1's write fails, then another program fills the
+			// one-program store: the unsaved program must not be
+			// evicted (its state exists only in memory), so job 2
+			// resumes from job 1 and writes both jobs' state. Times: 1
+			// keeps the rule off the other program's first write.
+			name:       "fault-then-evict",
+			rules:      []faultinject.Rule{{Stage: "persist.checkpoint.write", Run: 0, Times: 1, Kind: faultinject.KindShortWrite}},
+			heal:       true,
+			evict:      true,
+			wantErrors: true,
+			wantResume: true,
+			wantSubs:   3,
+		},
+		{
+			// Job 1's checkpoint tears (kill -9 mid page flush, reported
+			// as success): boot must quarantine it, not half-load it.
+			name:        "torn-checkpoint",
+			rules:       []faultinject.Rule{{Stage: "persist.checkpoint.write", Run: 0, Kind: faultinject.KindTornWrite}},
+			wantSubs:    1,
+			wantCounter: "serve.persist_quarantined",
+		},
+		{
+			// Job 1's checkpoint is bit-flipped (and reported written):
+			// boot must quarantine the program.
+			name:        "bitflip-checkpoint",
+			rules:       []faultinject.Rule{{Stage: "persist.checkpoint.write", Run: 0, Kind: faultinject.KindBitFlip, Bit: 200}},
+			wantSubs:    1,
+			wantCounter: "serve.persist_quarantined",
+		},
+		{
+			// Every write fails: the server keeps serving from memory,
+			// nothing lands on disk, and the reboot starts cold — but
+			// starts.
+			name:       "everything-fails",
+			rules:      []faultinject.Rule{{Stage: "persist.checkpoint.write", Run: -1, Kind: faultinject.KindShortWrite}},
+			wantErrors: true,
+			wantSubs:   1,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			spec := inlineSpec()
-			s1 := mustNew(t, Config{Shards: 1, StateDir: dir, Faults: &faultinject.Plan{Rules: tc.rules}})
+			cfg := Config{Shards: 1, StateDir: dir, Faults: &faultinject.Plan{Rules: tc.rules}}
+			if tc.evict {
+				cfg.MaxPrograms = 1
+			}
+			s1 := mustNew(t, cfg)
 			st1 := waitJob(t, mustSubmit(t, s1, spec))
 			if st1.State != StateDone {
 				t.Fatalf("job under disk faults ended %q — faults must never fail analysis", st1.State)
+			}
+			if tc.evict {
+				waitJob(t, mustSubmit(t, s1, libsafeSpec("evict")))
+			}
+			if tc.heal {
+				st := waitJob(t, mustSubmit(t, s1, spec))
+				if !st.Resume || st.Result.Submissions != 2 {
+					t.Errorf("second job resume = %v, submission %d; want a resume of submission 2", st.Resume, st.Result.Submissions)
+				}
+			}
+			if tc.evict {
+				if got := counterOf(s1.mc, "serve.programs_evicted"); got != 0 {
+					t.Errorf("serve.programs_evicted = %d, want 0: the unsaved program was evicted", got)
+				}
+			}
+			if got := counterOf(s1.mc, "serve.persist_errors"); (got > 0) != tc.wantErrors {
+				t.Errorf("serve.persist_errors = %d, want errors: %v", got, tc.wantErrors)
 			}
 			// Abandoned without drain, like a crash.
 
@@ -202,6 +277,9 @@ func TestDiskFaultMatrix(t *testing.T) {
 			if st2.Resume != tc.wantResume {
 				t.Errorf("post-fault resubmission resume = %v, want %v", st2.Resume, tc.wantResume)
 			}
+			if st2.Result.Submissions != tc.wantSubs {
+				t.Errorf("post-fault resubmission is submission %d, want %d", st2.Result.Submissions, tc.wantSubs)
+			}
 			if tc.wantResume && st2.Result.ExecutedSchedules >= st1.Result.ExecutedSchedules {
 				t.Errorf("recovered resume executed %d schedules, want fewer than %d",
 					st2.Result.ExecutedSchedules, st1.Result.ExecutedSchedules)
@@ -210,6 +288,67 @@ func TestDiskFaultMatrix(t *testing.T) {
 				t.Errorf("counter %s = 0 after recovery, want > 0", tc.wantCounter)
 			}
 		})
+	}
+}
+
+// TestResumeFromStateDirWithLeftoverWAL: a state directory written
+// by a server that kept a write-ahead log next to each checkpoint
+// (testdata/wal-era-state: one drained job in CHECKPOINT, a second
+// job's record left in WAL by a kill) still boots under the
+// single-file format. The program resumes from its checkpoint, nothing
+// is quarantined, the WAL record is not replayed but is counted, and
+// fsck moves the leftover WAL to quarantine/.
+func TestResumeFromStateDirWithLeftoverWAL(t *testing.T) {
+	dir := t.TempDir()
+	key := keyOf(t, inlineSpec())
+	pdir := filepath.Join(dir, "programs", key)
+	if err := os.MkdirAll(pdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"CHECKPOINT", "WAL"} {
+		data, err := os.ReadFile(filepath.Join("testdata/wal-era-state/programs", key, name))
+		if err != nil {
+			t.Fatalf("fixture: %v", err)
+		}
+		if err := os.WriteFile(filepath.Join(pdir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal := filepath.Join(pdir, "WAL")
+
+	s := mustNew(t, Config{Shards: 1, StateDir: dir})
+	if got := counterOf(s.mc, "serve.persist_recovered"); got != 1 {
+		t.Fatalf("serve.persist_recovered = %d, want 1", got)
+	}
+	if got := counterOf(s.mc, "serve.persist_quarantined") + counterOf(s.mc, "serve.persist_discarded"); got != 0 {
+		t.Fatalf("WAL-era program quarantined or discarded (%d)", got)
+	}
+	if got := counterOf(s.mc, "serve.persist_wal_ignored"); got != 1 {
+		t.Errorf("serve.persist_wal_ignored = %d, want 1 (the WAL holds a record)", got)
+	}
+	st := waitJob(t, mustSubmit(t, s, inlineSpec()))
+	if !st.Resume {
+		t.Error("resubmission did not resume from the WAL-era checkpoint")
+	}
+	if st.Result.Submissions != 2 {
+		t.Errorf("resubmission is submission %d, want 2 (checkpoint's 1, WAL not replayed)", st.Result.Submissions)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := Fsck(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK != 1 || rep.Quarantined != 0 || rep.WALs != 1 {
+		t.Fatalf("fsck report = %+v, want 1 ok and the WAL moved to quarantine", rep)
+	}
+	if _, err := os.Stat(wal); !os.IsNotExist(err) {
+		t.Errorf("fsck left the WAL behind: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", key+".WAL")); err != nil {
+		t.Errorf("fsck did not keep the WAL under quarantine/: %v", err)
 	}
 }
 
@@ -260,8 +399,9 @@ func TestEvictionRehydratesFromDisk(t *testing.T) {
 // TestEvictionSparesInFlightProgram: a program whose first job is still
 // queued must survive a concurrent insert pushing the store over
 // -max-programs. acquire pins the program before it becomes visible to
-// the eviction sweep, so eviction can never close a log out from under
-// a job — the failure mode being a silently dropped durable delta.
+// the eviction sweep, so eviction can never drop it while its job runs
+// — the failure mode being a second copy rehydrated from disk that the
+// running job's checkpoint later overwrites.
 func TestEvictionSparesInFlightProgram(t *testing.T) {
 	s := mustNew(t, Config{Shards: 1, MaxPrograms: 1, StateDir: t.TempDir()})
 	defer s.Shutdown(context.Background())
@@ -282,9 +422,9 @@ func TestEvictionSparesInFlightProgram(t *testing.T) {
 	}
 	waitJob(t, j2)
 
-	// The first job's delta must have reached the WAL (its log was never
-	// closed by eviction): the resubmission resumes warm with the
-	// accumulated accounting, whether served from memory or from disk.
+	// The first job's state must have survived the over-budget window:
+	// the resubmission resumes warm with the accumulated accounting,
+	// whether served from memory or from disk.
 	st := waitJob(t, mustSubmit(t, s, inlineSpec()))
 	if !st.Resume {
 		t.Error("resubmission after in-flight window did not resume — first job's state was lost")
@@ -360,7 +500,7 @@ func TestDrainWithStreamSubscribers(t *testing.T) {
 // rebooting from it.
 func TestConcurrentCheckpointWhileAbsorbing(t *testing.T) {
 	dir := t.TempDir()
-	s := mustNew(t, Config{Shards: 2, StateDir: dir, CheckpointEvery: 2})
+	s := mustNew(t, Config{Shards: 2, StateDir: dir})
 
 	specs := []Spec{inlineSpec(), libsafeSpec("ckpt")}
 	var jobs []*Job
@@ -380,7 +520,7 @@ func TestConcurrentCheckpointWhileAbsorbing(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				s.persistAll(false)
+				s.persistAll()
 				s.Programs() // concurrent scrape for good measure
 			}
 		}

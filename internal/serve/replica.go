@@ -215,8 +215,16 @@ func (s *Server) importOffer(ck *persist.Checkpoint) (int, error) {
 		s.mc.Count("serve.store_programs", 1)
 		return http.StatusUnprocessableEntity, fmt.Errorf("blob state does not resolve against module")
 	}
-	// Already live here (or rehydrated from our own disk): merge.
+	// Already live here (or rehydrated from our own disk): merge. An
+	// accepted merge is recorded like a job — a new version, durable
+	// before the 200 goes out.
+	ps.pmu.Lock()
 	changed, err := ps.mergeSnapshot(ck)
+	if changed {
+		ps.seq++
+		s.store.save(ps, false)
+	}
+	ps.pmu.Unlock()
 	if err != nil {
 		s.mc.Count("serve.replica_discarded", 1)
 		return http.StatusUnprocessableEntity, err
@@ -229,8 +237,7 @@ func (s *Server) importOffer(ck *persist.Checkpoint) (int, error) {
 }
 
 // mergeSnapshot unions a peer checkpoint into live state: coverage and
-// seen-reports merge through ExploreState.Merge (journaled, so the
-// knowledge reaches the WAL with the next job), report IDs union into
+// seen-reports merge through ExploreState.Merge, report IDs union into
 // the dedup set. Submission counts deliberately do NOT merge — they
 // count what THIS replica was asked to do. Returns false when the blob
 // contained nothing new.
@@ -249,13 +256,4 @@ func (ps *programState) mergeSnapshot(ck *persist.Checkpoint) (bool, error) {
 	}
 	ps.mu.Unlock()
 	return changed, nil
-}
-
-// offerState enqueues ps's current state for anti-entropy push. Cheap
-// and non-blocking (Offer is async); nil-safe when replication is off.
-func (s *Server) offerState(ps *programState) {
-	if s.rep == nil {
-		return
-	}
-	s.rep.Offer(composeCheckpoint(ps))
 }

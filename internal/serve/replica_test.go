@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -190,7 +191,7 @@ func TestStateGetLiveProgram(t *testing.T) {
 // CHECKPOINT file bytes without being faulted back into memory.
 func TestStateGetEvictedProgram(t *testing.T) {
 	mc := metrics.New()
-	s := mustNew(t, Config{Metrics: mc, StateDir: t.TempDir(), MaxPrograms: 1, CheckpointEvery: 1})
+	s := mustNew(t, Config{Metrics: mc, StateDir: t.TempDir(), MaxPrograms: 1})
 	defer s.Shutdown(context.Background())
 	specA := libsafeSpec("t")
 	specB := Spec{Tenant: "t", Workload: "memcached", Options: SpecOptions{Explore: "coverage", Budget: 8, Seed: 7}}
@@ -300,6 +301,36 @@ func TestStateOfferPaths(t *testing.T) {
 	}
 	if n := counterOf(mc, "serve.replica_discarded"); n != discardedBefore+1 {
 		t.Fatalf("replica_discarded = %d, want %d", n, discardedBefore+1)
+	}
+}
+
+// TestAcceptedMergeSurvivesKill: a peer merge the server answered 200
+// for is durable at once — it writes the same checkpoint a job does —
+// so a kill before the next job loses none of it.
+func TestAcceptedMergeSurvivesKill(t *testing.T) {
+	cold := libsafeSpec("t")
+	cold.Options.Budget = 4
+	warm := libsafeSpec("t") // same program, bigger budget: a strict superset of coverage
+	blob := warmBlob(t, warm)
+
+	dir := t.TempDir()
+	s1 := mustNew(t, Config{Shards: 1, StateDir: dir})
+	waitJob(t, mustSubmit(t, s1, cold))
+	before := s1.Programs()
+	rec := doReq(s1.Handler(), http.MethodPut, "/v1/programs/"+keyOf(t, cold)+"/state", nil, blob)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("merge PUT = %d: %s", rec.Code, rec.Body.String())
+	}
+	merged := s1.Programs()
+	if merged[0].Pairs <= before[0].Pairs {
+		t.Fatalf("merge added no pairs (%d -> %d); the durability check tests nothing", before[0].Pairs, merged[0].Pairs)
+	}
+	// Simulated kill -9: s1 is abandoned without drain.
+
+	s2 := mustNew(t, Config{Shards: 1, StateDir: dir})
+	defer s2.Shutdown(context.Background())
+	if got := s2.Programs(); !reflect.DeepEqual(got, merged) {
+		t.Fatalf("rebooted store lost the merge:\n rebooted %+v\n merged   %+v", got, merged)
 	}
 }
 
@@ -480,7 +511,7 @@ func TestStaleSeqOffer(t *testing.T) {
 // eviction and rehydration under -race: the pin must keep the blob
 // consistent and the server must never 5xx.
 func TestConcurrentFetchVsEvict(t *testing.T) {
-	s := mustNew(t, Config{StateDir: t.TempDir(), MaxPrograms: 1, CheckpointEvery: 1})
+	s := mustNew(t, Config{StateDir: t.TempDir(), MaxPrograms: 1})
 	defer s.Shutdown(context.Background())
 	h := s.Handler()
 	specA := libsafeSpec("t")

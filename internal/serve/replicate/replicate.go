@@ -18,7 +18,7 @@
 //   - Fetch: on a cold Submit miss (no memory state, no durable dir)
 //     the store asks each healthy peer for the program's blob before
 //     paying cold-start exploration.
-//   - Offer: after a checkpoint fold (and on drain) a replica pushes
+//   - Offer: after every completed job (and on drain) a replica pushes
 //     its newest state to every peer — anti-entropy, latest-wins. A
 //     peer that already knows everything in the blob answers 409 and
 //     the fleet converges.
@@ -120,7 +120,7 @@ type Replicator struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	peers    []*peer
-	seq      map[string]int    // (peer|op|key) -> next fault-injection sequence
+	seq      map[string]int    // (peer|op|key) -> next fault-injection sequence; only with a plan
 	order    []string          // FIFO of keys with a pending offer
 	pending  map[string][]byte // key -> latest offered blob
 	inflight bool              // worker mid-push
@@ -156,16 +156,21 @@ func New(cfg Config) *Replicator {
 // Enabled reports whether replication is configured.
 func (r *Replicator) Enabled() bool { return r != nil }
 
-// netSeq returns the next fault-injection sequence for (peer, op, key).
-// Keying by all three keeps fault decisions deterministic even when
-// requests for different programs interleave.
-func (r *Replicator) netSeq(peerURL, op, key string) int {
+// netFault consults the fault plan for the next request of (peer, op,
+// key). Keying the sequence by all three keeps fault decisions
+// deterministic even when requests for different programs interleave;
+// counting only when a plan is set keeps a fault-free replica from
+// growing a map entry per program it ever fetched or pushed.
+func (r *Replicator) netFault(peerURL, op, key string) *faultinject.NetFault {
+	if r.cfg.Faults == nil {
+		return nil
+	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	k := peerURL + "|" + op + "|" + key
 	n := r.seq[k]
 	r.seq[k] = n + 1
-	return n
+	r.mu.Unlock()
+	return r.cfg.Faults.Net(op, n)
 }
 
 // healthy snapshots the peers currently worth talking to.
@@ -285,7 +290,7 @@ func (r *Replicator) fetchFrom(ctx context.Context, p *peer, key string) (*persi
 func (r *Replicator) do(ctx context.Context, p *peer, op, key string, build func(context.Context) (*http.Request, error)) ([]byte, int, error) {
 	rctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
 	defer cancel()
-	if f := r.cfg.Faults.Net(op, r.netSeq(p.url, op, key)); f != nil {
+	if f := r.netFault(p.url, op, key); f != nil {
 		switch f.Kind {
 		case faultinject.KindNetDown:
 			return nil, 0, f
@@ -325,7 +330,7 @@ func (r *Replicator) do(ctx context.Context, p *peer, op, key string, build func
 	if len(body) > MaxBlobBytes {
 		return nil, 0, fmt.Errorf("replicate: peer %s: blob exceeds %d bytes", p.url, MaxBlobBytes)
 	}
-	if f := r.cfg.Faults.Net(op+".body", r.netSeq(p.url, op+".body", key)); f != nil {
+	if f := r.netFault(p.url, op+".body", key); f != nil {
 		switch f.Kind {
 		case faultinject.KindNetTruncate:
 			body = body[:len(body)/2]
@@ -344,16 +349,13 @@ func (r *Replicator) do(ctx context.Context, p *peer, op, key string, build func
 	return body, resp.StatusCode, nil
 }
 
-// Offer enqueues key's state blob for anti-entropy push to every peer.
-// Latest wins: a newer offer for the same key replaces a queued one
-// (the blob is a full snapshot, not a delta, so only the newest
-// matters). Never blocks on the network.
-func (r *Replicator) Offer(ck persist.Checkpoint) {
+// Offer enqueues key's state blob (an encoded checkpoint) for
+// anti-entropy push to every peer. Latest wins: a newer offer for the
+// same key replaces a queued one (the blob is a full snapshot, not a
+// delta, so only the newest matters). The blob is retained until it is
+// pushed and must not be modified. Never blocks on the network.
+func (r *Replicator) Offer(key string, blob []byte) {
 	if r == nil {
-		return
-	}
-	blob, err := persist.EncodeCheckpoint(ck)
-	if err != nil {
 		return
 	}
 	r.mc.Count("serve.replica_offers", 1)
@@ -362,10 +364,10 @@ func (r *Replicator) Offer(ck persist.Checkpoint) {
 	if r.closed {
 		return
 	}
-	if _, queued := r.pending[ck.Key]; !queued {
-		r.order = append(r.order, ck.Key)
+	if _, queued := r.pending[key]; !queued {
+		r.order = append(r.order, key)
 	}
-	r.pending[ck.Key] = blob
+	r.pending[key] = blob
 	r.cond.Broadcast()
 }
 

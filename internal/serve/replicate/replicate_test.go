@@ -32,6 +32,15 @@ func testCheckpoint(key string, explorations int) persist.Checkpoint {
 	}
 }
 
+// offer encodes ck and offers it for push.
+func offer(r *Replicator, ck persist.Checkpoint) {
+	blob, err := persist.EncodeCheckpoint(ck)
+	if err != nil {
+		panic(err)
+	}
+	r.Offer(ck.Key, blob)
+}
+
 func counter(mc *metrics.Collector, name string) int64 {
 	for _, c := range mc.Snapshot().Counters {
 		if c.Name == name {
@@ -114,7 +123,7 @@ func TestNilReplicatorIsInert(t *testing.T) {
 	if ck := r.Fetch(context.Background(), testKey); ck != nil {
 		t.Fatalf("nil replicator fetched %v", ck)
 	}
-	r.Offer(testCheckpoint(testKey, 1))
+	offer(r, testCheckpoint(testKey, 1))
 	if err := r.Flush(context.Background()); err != nil {
 		t.Fatalf("nil Flush: %v", err)
 	}
@@ -296,7 +305,7 @@ func TestOfferPushFlushAndStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Offer(ck)
+	offer(r, ck)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := r.Flush(ctx); err != nil {
@@ -342,7 +351,7 @@ func TestOfferLatestWins(t *testing.T) {
 	r := newReplicator(t, Config{Peers: []string{slow.URL}, Retries: -1, Timeout: 10 * time.Second, Metrics: mc})
 
 	otherKey := strings.Repeat("cd", 32)
-	r.Offer(testCheckpoint(otherKey, 1)) // worker picks this up and blocks in the PUT
+	offer(r, testCheckpoint(otherKey, 1)) // worker picks this up and blocks in the PUT
 	// Wait until the worker is actually inside the push so the next
 	// offers queue behind it.
 	deadline := time.Now().Add(5 * time.Second)
@@ -355,8 +364,8 @@ func TestOfferLatestWins(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	r.Offer(testCheckpoint(testKey, 1))
-	r.Offer(testCheckpoint(testKey, 2)) // replaces the queued offer
+	offer(r, testCheckpoint(testKey, 1))
+	offer(r, testCheckpoint(testKey, 2)) // replaces the queued offer
 	close(release)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -390,7 +399,7 @@ func TestPushErrorTripsHealth(t *testing.T) {
 		Metrics: mc,
 	})
 	for i := 0; i < downAfter; i++ {
-		r.Offer(testCheckpoint(testKey, i+1))
+		offer(r, testCheckpoint(testKey, i+1))
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		if err := r.Flush(ctx); err != nil {
 			cancel()
@@ -411,9 +420,37 @@ func TestCloseDrainsQueue(t *testing.T) {
 	srv := httptest.NewServer(peer)
 	defer srv.Close()
 	r := New(Config{Peers: []string{srv.URL}, Metrics: metrics.New()})
-	r.Offer(testCheckpoint(testKey, 1))
+	offer(r, testCheckpoint(testKey, 1))
 	r.Close() // must push the queued offer before stopping
 	if peer.putCount() != 1 {
 		t.Fatalf("Close dropped the queued offer: puts = %d", peer.putCount())
+	}
+}
+
+// TestNoPlanNoFaultCounters: the per-(peer, op, program) fault
+// sequence is counted only when a fault plan is set, so a fault-free
+// replica does not grow an entry for every program it ever fetched or
+// pushed.
+func TestNoPlanNoFaultCounters(t *testing.T) {
+	peer := &blobPeer{t: t}
+	srv := httptest.NewServer(peer)
+	defer srv.Close()
+	r := newReplicator(t, Config{Peers: []string{srv.URL}, Metrics: metrics.New()})
+	for i := 0; i < 20; i++ {
+		key := strings.Repeat(string("0123456789abcdef"[i%16])+string("0123456789abcdef"[i/16]), 32)
+		r.Fetch(context.Background(), key)
+		offer(r, testCheckpoint(key, 1))
+	}
+	if err := r.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if peer.putCount() != 20 {
+		t.Fatalf("peer received %d pushes, want 20", peer.putCount())
+	}
+	r.mu.Lock()
+	n := len(r.seq)
+	r.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("fault-free replicator holds %d fault-sequence entries, want 0", n)
 	}
 }

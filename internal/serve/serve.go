@@ -54,13 +54,11 @@ type Config struct {
 	// collector.
 	Metrics *metrics.Collector
 	// StateDir, when non-empty, makes the store crash-safe: every
-	// program's accumulated state persists under this directory as a
-	// checkpoint plus a WAL of per-job deltas, and New recovers it on
-	// boot (see internal/serve/persist). Empty = in-memory only.
+	// program's accumulated state persists under this directory as one
+	// checkpoint, rewritten atomically after every completed job and
+	// accepted peer merge, and New recovers it on boot (see
+	// internal/serve/persist). Empty = in-memory only.
 	StateDir string
-	// CheckpointEvery folds a program's WAL into a fresh checkpoint
-	// after this many records (default 8).
-	CheckpointEvery int
 	// MaxPrograms bounds the in-memory program states; exceeding it
 	// evicts the least-recently-used program with no jobs in flight
 	// (rehydrated lazily from StateDir on the next touch, or forgotten
@@ -72,7 +70,7 @@ type Config struct {
 	Faults *faultinject.Plan
 	// Peers is the base URLs of the other owl-serve replicas. Non-empty
 	// enables fleet warm-start: cold Submit misses fetch state from
-	// peers before paying cold-start, and checkpoint folds push state
+	// peers before paying cold-start, and completed jobs push state
 	// back out (see internal/serve/replicate and docs/SERVE.md).
 	Peers []string
 	// PeerTimeout/PeerRetries/PeerBackoff/PeerCoolDown tune the peer
@@ -108,9 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = metrics.New()
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 8
-	}
 	if c.MaxPrograms < 0 {
 		c.MaxPrograms = 0
 	}
@@ -143,7 +138,7 @@ type Server struct {
 
 // New starts a server: one goroutine per shard, ready to accept jobs.
 // With Config.StateDir set it first recovers every persisted program
-// (replaying checkpoint + WAL, quarantining anything damaged — recovery
+// (reading its checkpoint, quarantining anything damaged — recovery
 // never fails boot); the error return is only for an unusable state
 // directory itself.
 func New(cfg Config) (*Server, error) {
@@ -307,19 +302,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		// Every job is drained; fold each program's WAL into a final
-		// checkpoint and release the file handles. (A kill that skips
-		// this loses nothing — the WAL already holds every job — it just
-		// leaves the compaction to the next boot's replay.)
-		s.persistAll(true)
+		// Every job is drained; write each program's final checkpoint
+		// and offer everything this replica learned to the fleet before
+		// the process exits. (A kill that skips this loses nothing —
+		// every job already wrote its checkpoint — it only forgoes
+		// retrying a write that failed.)
+		s.persistAll()
 		if s.rep != nil {
-			// Final anti-entropy sweep: everything this replica learned
-			// goes out to the fleet before the process exits.
-			for _, ps := range s.store.all() {
-				if ps.state.Warm() {
-					s.offerState(ps)
-				}
-			}
 			s.rep.Flush(ctx)
 			s.rep.Close()
 		}
@@ -433,14 +422,7 @@ func (s *Server) run(j *Job) func(*JobStatus) {
 	// Make the job durable before its terminal status publishes: a
 	// client that saw "done" and killed the server must find this job's
 	// contribution after restart.
-	s.persistJob(j.ps, freshIDs, subs)
-	if j.ps.log == nil {
-		// Memory-only program: there is no checkpoint-fold cadence to
-		// ride, so anti-entropy pushes after every completed job (Offer
-		// is async and latest-wins, so a busy program collapses to one
-		// queued blob).
-		s.offerState(j.ps)
-	}
+	s.persistJob(j.ps)
 	var detectRuns64 int64
 	for _, c := range j.mc.Snapshot().Counters {
 		if c.Name == "owl.detect_runs" {

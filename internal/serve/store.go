@@ -2,9 +2,9 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/conanalysis/owl/internal/metrics"
 	"github.com/conanalysis/owl/internal/owl"
@@ -37,12 +37,19 @@ type programState struct {
 	source persist.ProgramSource
 	fp     string
 
-	// log is the program's durability handle (nil when persistence is
-	// off or permanently failed for this program). pmu serializes the
-	// per-job persistence path (TakeDelta+Append) against checkpoint
-	// composition so a checkpoint never snapshots a half-recorded job.
-	log *persist.Log
+	// seq is the program's version: bumped on every recorded state
+	// change (a completed job, an accepted peer merge) and stamped into
+	// every checkpoint composed from it. pmu guards seq and serializes
+	// recording a change (bump + checkpoint write) against checkpoint
+	// composition elsewhere, so a checkpoint never snapshots a
+	// half-recorded change and an older version never overwrites a
+	// newer one on disk.
+	seq uint64
 	pmu sync.Mutex
+	// unsaved is set while the durable store lacks the current version
+	// (the last checkpoint write failed). Eviction skips an unsaved
+	// program: its newest state lives only in memory.
+	unsaved atomic.Bool
 
 	// inflight and lastUsed are eviction bookkeeping, guarded by the
 	// store's mutex: inflight counts queued+running jobs (an evicted
@@ -131,17 +138,17 @@ func newStore(snapEntries, maxPrograms int, mc *metrics.Collector) *store {
 // raised — the caller owes exactly one release (directly on admission
 // failure, or via Server.finish when the job completes). On a miss it
 // first tries to rehydrate the program from disk, then creates it
-// fresh (laying down its initial checkpoint when persistence is on).
-// The boolean reports whether the key already existed in memory or on
-// disk.
+// fresh. A fresh program writes nothing: its first checkpoint is its
+// first job's. The boolean reports whether the key already existed in
+// memory or on disk.
 //
-// The miss path does disk I/O (checkpoint create, or WAL replay on
-// reopen) and must not hold the store mutex across those fsyncs — one
-// slow disk would serialize every Submit on every shard. A per-key
-// pending slot keeps the mutex to map mutation only: the first caller
-// for a cold key claims the slot and materializes off-lock, later
-// callers for the same key wait on the slot and re-check the map;
-// callers for other keys are never blocked.
+// The miss path does I/O (the checkpoint read on reopen; a peer fetch
+// and the imported blob's checkpoint write) and must not hold the
+// store mutex across it — one slow disk would serialize every Submit
+// on every shard. A per-key pending slot keeps the mutex to map
+// mutation only: the first caller for a cold key claims the slot and
+// materializes off-lock, later callers for the same key wait on the
+// slot and re-check the map; callers for other keys are never blocked.
 func (s *store) acquire(key, name string, prog owl.Program, src persist.ProgramSource) (*programState, bool) {
 	ps, outcome := s.acquireSeeded(key, name, prog, src, nil, true)
 	return ps, outcome.known()
@@ -177,9 +184,9 @@ func (s *store) acquireSeeded(key, name string, prog owl.Program, src persist.Pr
 	s.mu.Lock()
 	// Pin before inserting: insertLocked's eviction sweep (and any
 	// concurrent one) must never victimize a program whose first job is
-	// still queued or running — eviction closes the log, which would
-	// silently drop the job's durable delta. The caller's one owed
-	// release balances this pin.
+	// still queued or running — a resubmission would then rehydrate a
+	// second copy from disk that the running job's checkpoint later
+	// overwrites. The caller's one owed release balances this pin.
 	ps.inflight = 1
 	s.insertLocked(ps)
 	delete(s.pending, key)
@@ -222,10 +229,12 @@ func (s *store) materialize(key, name string, prog owl.Program, src persist.Prog
 		fetched = ck != nil
 	}
 	if ck != nil {
-		if ps, err := s.importCheckpoint(ck, name, prog); err == nil {
+		if ps, err := fromCheckpoint(ck, name, prog, s.snapEntries); err == nil {
 			if fetched {
 				s.mc.Count("serve.replica_fetch_hits", 1)
 			}
+			// Warmth bought from a peer should survive a restart too.
+			s.save(ps, false)
 			return ps, acqImported
 		}
 		s.mc.Count("serve.replica_discarded", 1)
@@ -243,67 +252,7 @@ func (s *store) materialize(key, name string, prog owl.Program, src persist.Prog
 		// without a fingerprint could never be trusted by a peer.
 		fp: prog.Module.Fingerprint(),
 	}
-	if s.pstore != nil {
-		log, err := s.pstore.Create(persist.Checkpoint{
-			Key:      key,
-			Name:     name,
-			Source:   src,
-			ModuleFP: ps.fp,
-			State:    ps.state.Export(),
-		})
-		if err != nil {
-			s.mc.Count("serve.persist_errors", 1)
-		} else {
-			ps.log = log
-			ps.state.SetJournal(true)
-		}
-	}
 	return ps, acqFresh
-}
-
-// importCheckpoint builds a live programState from a peer's blob under
-// the same refuse-to-guess contract as disk rehydration: the module
-// fingerprint must match the locally resolved program and every stable
-// coverage position must resolve, or the blob is rejected. On success
-// with persistence on, the imported state is laid down durably right
-// away — warmth bought from a peer should survive a restart too.
-func (s *store) importCheckpoint(ck *persist.Checkpoint, name string, prog owl.Program) (*programState, error) {
-	fp := prog.Module.Fingerprint()
-	if ck.ModuleFP != fp {
-		return nil, fmt.Errorf("module fingerprint %.12s does not match blob %.12s", fp, ck.ModuleFP)
-	}
-	state := sched.NewExploreState(s.snapEntries)
-	if err := state.Import(prog.Module, ck.State); err != nil {
-		return nil, err
-	}
-	ps := &programState{
-		key:         ck.Key,
-		name:        name,
-		prog:        prog,
-		state:       state,
-		reports:     make(map[string]bool, len(ck.Reports)),
-		submissions: ck.Submissions,
-		source:      ck.Source,
-		fp:          fp,
-	}
-	for _, id := range ck.Reports {
-		if !ps.reports[id] {
-			ps.reports[id] = true
-			ps.order = append(ps.order, id)
-		}
-	}
-	if s.pstore != nil {
-		dck := *ck
-		dck.Name = name
-		log, err := s.pstore.Create(dck)
-		if err != nil {
-			s.mc.Count("serve.persist_errors", 1)
-		} else {
-			ps.log = log
-			ps.state.SetJournal(true)
-		}
-	}
-	return ps, nil
 }
 
 // reopen lazily rehydrates an evicted program's durable state. Damaged
@@ -313,13 +262,12 @@ func (s *store) reopen(key, name string, prog owl.Program) *programState {
 	if s.pstore == nil {
 		return nil
 	}
-	rec, err := s.pstore.Reopen(key)
-	if err != nil || rec == nil {
+	ck, err := s.pstore.Load(key)
+	if err != nil || ck == nil {
 		return nil
 	}
-	ps, err := buildProgramState(rec, name, prog, s.snapEntries)
+	ps, err := fromCheckpoint(ck, name, prog, s.snapEntries)
 	if err != nil {
-		rec.Log.Close()
 		s.discard(key)
 		return nil
 	}
@@ -358,15 +306,17 @@ func (s *store) release(ps *programState) {
 
 // evictLocked enforces maxPrograms by dropping the least-recently-used
 // programs with no jobs in flight. With persistence on, an evicted
-// program's state survives on disk (every job was WAL-appended before
-// its terminal status published) and rehydrates on the next touch;
-// without, eviction deliberately forgets the accumulated state —
-// bounded memory beats unbounded resume.
+// program's state survives on disk (every job wrote its checkpoint
+// before its terminal status published) and rehydrates on the next
+// touch; a program whose last write failed is not evicted until a
+// later write succeeds, since its newest state exists only in memory.
+// Without persistence, eviction deliberately forgets the accumulated
+// state — bounded memory beats unbounded resume.
 func (s *store) evictLocked() {
 	for s.maxPrograms > 0 && len(s.programs) > s.maxPrograms {
 		var victim *programState
 		for _, ps := range s.programs {
-			if ps.inflight > 0 {
+			if ps.inflight > 0 || ps.unsaved.Load() {
 				continue
 			}
 			if victim == nil || ps.lastUsed < victim.lastUsed {
@@ -374,13 +324,9 @@ func (s *store) evictLocked() {
 			}
 		}
 		if victim == nil {
-			return // everything is hot; stay over budget rather than lose live state
+			return // everything is hot or unsaved; stay over budget rather than lose live state
 		}
 		delete(s.programs, victim.key)
-		if victim.log != nil {
-			victim.log.Close()
-			victim.log = nil
-		}
 		s.mc.Count("serve.programs_evicted", 1)
 	}
 }

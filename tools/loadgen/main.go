@@ -174,8 +174,9 @@ func run(args []string) error {
 	// The kill/restart scenario deliberately skips srv.Shutdown: the
 	// first server is abandoned mid-flight (the in-process analogue of
 	// kill -9, no drain-time checkpoint), so recovery must come from the
-	// WAL. The second server boots from the same state dir and every
-	// program in the mix must come back as a resume hit.
+	// checkpoints each job wrote. The second server boots from the same
+	// state dir and every program in the mix must come back as a resume
+	// hit.
 	var rs *restartStats
 	if *restart {
 		rs, err = restartScenario(cfg, specs, *tcp)
@@ -429,6 +430,9 @@ type fleetStats struct {
 	fleet        int64 // N replicas peered
 	fetchHits    int64 // cold misses warmed by a peer fetch
 	serveHits    int64 // state blobs served to peers
+	offers       int64 // anti-entropy offers queued by the peered fleet
+	merges       int64 // offers the peered fleet accepted (imports and merges)
+	checkpoints  int64 // checkpoints the peered fleet wrote
 	savings      float64
 	identical    bool
 	isolatedWall time.Duration
@@ -594,6 +598,9 @@ func fleetScenario(replicas int, tcp bool) (*fleetStats, error) {
 		fleet:        peered.schedules,
 		fetchHits:    peered.fetchHits,
 		serveHits:    peered.serveHits,
+		offers:       peered.offers,
+		merges:       peered.merges,
+		checkpoints:  peered.checkpoints,
 		isolatedWall: isolated.wall,
 		fleetWall:    peered.wall,
 		identical:    true,
@@ -623,19 +630,22 @@ func fleetScenario(replicas int, tcp bool) (*fleetStats, error) {
 
 // passResult is one topology's run of the fleet schedule.
 type passResult struct {
-	schedules int64
-	summaries []string
-	fetchHits int64
-	serveHits int64
-	wall      time.Duration
+	schedules   int64
+	summaries   []string
+	fetchHits   int64
+	serveHits   int64
+	offers      int64
+	merges      int64
+	checkpoints int64
+	wall        time.Duration
 }
 
 // runFleetPass stands up n replicas (peered or not), drives the routed
 // schedule through them sequentially, and sums executed schedules and
-// replication counters. Every replica gets its own state directory:
-// with persistence on, anti-entropy pushes ride the checkpoint-fold and
-// drain cadence only, so mid-pass warmth must arrive via the cold-miss
-// fetch path — the thing the scenario is proving.
+// replication counters. Every replica gets its own state directory, so
+// every job writes a checkpoint and offers the same blob to the peers:
+// warmth arrives by that push (the peer imports the program) or, when
+// a submission outruns the push, by the cold-miss fetch path.
 func runFleetPass(n int, peered, tcp bool, specs []serve.Spec, slots []fleetSlot) (pr passResult, err error) {
 	urls := make([]string, n)
 	var ft *fleetTransport
@@ -729,6 +739,12 @@ func runFleetPass(n int, peered, tcp bool, specs []serve.Spec, slots []fleetSlot
 				pr.fetchHits += cr.Value
 			case "serve.replica_serve_hits":
 				pr.serveHits += cr.Value
+			case "serve.replica_offers":
+				pr.offers += cr.Value
+			case "serve.replica_merges":
+				pr.merges += cr.Value
+			case "serve.persist_checkpoints":
+				pr.checkpoints += cr.Value
 			}
 		}
 	}
@@ -832,9 +848,9 @@ func report(w *os.File, srv *serve.Server, c *counters, latencies []time.Duratio
 	fmt.Fprintln(os.Stderr, summary)
 	if fst != nil {
 		fsum := fmt.Sprintf(
-			"fleet: replicas=%d programs=%d jobs=%d single=%d isolated=%d fleet=%d savings=%.1f%% fetch_hits=%d serve_hits=%d identical=%v",
+			"fleet: replicas=%d programs=%d jobs=%d single=%d isolated=%d fleet=%d savings=%.1f%% fetch_hits=%d serve_hits=%d offers=%d merges=%d checkpoints=%d identical=%v",
 			fst.replicas, fst.programs, fst.jobs, fst.single, fst.isolated, fst.fleet,
-			100*fst.savings, fst.fetchHits, fst.serveHits, fst.identical,
+			100*fst.savings, fst.fetchHits, fst.serveHits, fst.offers, fst.merges, fst.checkpoints, fst.identical,
 		)
 		if err := emit("%s\n", fsum); err != nil {
 			return err
